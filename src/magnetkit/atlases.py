@@ -16,7 +16,6 @@ lie in the magnet and then so does their sum m.)
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
@@ -24,7 +23,7 @@ from typing import Iterable, Union
 from .errors import ResourceLimitError, StructuralError
 from .graded import FreePoly, MonoidAlgebra, MonoidIdeal, WeightModule
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import Submonoid
+from .monoids import Submonoid, closed_sets
 
 Chart = Union[FreePoly, MonoidAlgebra, WeightModule]
 
@@ -93,14 +92,13 @@ def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
         raise ResourceLimitError(
             "degree support has %d elements, cap is %d" % (len(E), cap)
         )
-    table = []
-    for mask in range(1 << len(E)):
-        S = frozenset(E[i] for i in range(len(E)) if mask >> i & 1)
-        gen = _generated(atlas, S)
-        if any(gen.contains(e) for e in E if e not in S):
-            continue
-        table.append((S, fingerprint(atlas, gen)))
-    return tuple(table)
+
+    def closure(S):
+        gen = _generated(atlas, (E[i] for i in S))
+        return (i for i, e in enumerate(E) if i in S or gen.contains(e))
+
+    closed = (frozenset(E[i] for i in C) for C in closed_sets(len(E), closure))
+    return tuple((S, fingerprint(atlas, _generated(atlas, S))) for S in closed)
 
 
 def pure_magnet(atlas: EquivariantAtlas, N, cap: int = 20) -> Submonoid:
@@ -176,9 +174,6 @@ class MagnetPoset:
                 for i in range(len(self.elements))
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def enumerate_magnets(atlas: EquivariantAtlas, cap: int = 20) -> MagnetPoset:

@@ -115,10 +115,6 @@ def mu(k: GroupElement, v: ModuleElement) -> ModuleElement:
     return ModuleElement(v.module, coeffs)
 
 
-def _as_key(args) -> tuple:
-    return tuple(args)
-
-
 @dataclass(frozen=True)
 class Cochain:
     """Finitely supported cochain of arity 0..3 with module-element values.
@@ -138,7 +134,7 @@ class Cochain:
         seen = set()
         kept = []
         for key, value in self.entries:
-            key = _as_key(key)
+            key = tuple(key)
             if len(key) != self.arity:
                 raise StructuralError("key arity mismatch")
             for g in key:
@@ -166,11 +162,10 @@ class Cochain:
         return cls(value.module, 0, (((), value),))
 
     def __call__(self, *args) -> ModuleElement:
-        key = _as_key(args)
-        if len(key) != self.arity:
+        if len(args) != self.arity:
             raise StructuralError("wrong number of arguments")
         for k, v in self.entries:
-            if k == key:
+            if k == args:
                 return v
         return self.module.zero()
 

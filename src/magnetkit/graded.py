@@ -319,10 +319,6 @@ class ClosedInclusion:
     bigger: object
     extra_killed: tuple
 
-    @property
-    def holds(self) -> bool:
-        return True
-
 
 def inclusion_is_closed(P: Presentation, N: Submonoid, L) -> ClosedInclusion:
     """Check N subset L on generators, then killed(L) subset killed(N)."""

@@ -57,9 +57,6 @@ class FgAbelianGroup:
             out.append(self.element(coords))
         return tuple(out)
 
-    def is_trivial(self) -> bool:
-        return self.coord_count == 0
-
     def describe(self) -> str:
         parts = []
         if self.free_rank:

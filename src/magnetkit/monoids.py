@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diophantine import DEFAULT_MAX_NODES, has_nonneg_solution
 from .errors import (
@@ -34,7 +34,6 @@ from . import linalg
 class Submonoid:
     ambient: FgAbelianGroup
     generators: tuple[GroupElement, ...]
-    kind_hint: str = field(default="generic", compare=False)
 
     def __post_init__(self):
         gens = []
@@ -46,25 +45,25 @@ class Submonoid:
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
 
     @classmethod
-    def generated_by(cls, ambient: FgAbelianGroup, coords: Iterable[Sequence[int]],
-                     kind_hint: str = "generic") -> "Submonoid":
-        return cls(ambient, tuple(ambient.element(c) for c in coords), kind_hint)
+    def generated_by(cls, ambient: FgAbelianGroup,
+                     coords: Iterable[Sequence[int]]) -> "Submonoid":
+        return cls(ambient, tuple(ambient.element(c) for c in coords))
 
     @classmethod
     def zero(cls, ambient: FgAbelianGroup) -> "Submonoid":
-        return cls(ambient, (), kind_hint="zero")
+        return cls(ambient, ())
 
     @classmethod
     def full(cls, ambient: FgAbelianGroup) -> "Submonoid":
         gens = list(ambient.basis_elements())
         gens += [-g for g in gens[: ambient.free_rank]]
-        return cls(ambient, tuple(gens), kind_hint="full")
+        return cls(ambient, tuple(gens))
 
     @classmethod
     def subgroup_generated_by(cls, ambient: FgAbelianGroup,
                               coords: Iterable[Sequence[int]]) -> "Submonoid":
         els = [ambient.element(c) for c in coords]
-        return cls(ambient, tuple(els + [-e for e in els]), kind_hint="subgroup")
+        return cls(ambient, tuple(els + [-e for e in els]))
 
     def contains(self, m: GroupElement) -> bool:
         return contains(self, m)
@@ -112,7 +111,7 @@ def units(N: Submonoid) -> Submonoid:
     units, N* being a face).
     """
     inv = [g for g in N.generators if contains(N, -g)]
-    return Submonoid(N.ambient, tuple(inv + [-g for g in inv]), kind_hint="subgroup")
+    return Submonoid(N.ambient, tuple(inv + [-g for g in inv]))
 
 
 def is_group(N: Submonoid) -> bool:
@@ -125,11 +124,34 @@ def is_sharp(N: Submonoid) -> bool:
 
 def groupification(N: Submonoid) -> Submonoid:
     """The subgroup generated by N (differences of members)."""
-    return Submonoid(
-        N.ambient,
-        N.generators + tuple(-g for g in N.generators),
-        kind_hint="subgroup",
-    )
+    return Submonoid(N.ambient, N.generators + tuple(-g for g in N.generators))
+
+
+def closed_sets(n: int, closure: Callable[[tuple[int, ...]], Iterable[int]]
+                ) -> Iterator[tuple[int, ...]]:
+    """Every closed set of a closure operator on range(n), in lectic order.
+
+    Ganter's NextClosure (Ganter & Reuter, Order 1991), at most n closures
+    per closed set.  closure(S) takes a sorted index tuple and yields the
+    closure's indices in increasing order; a candidate is read only until an
+    index below i outside A rejects it, so a lazy closure saves that work.
+    """
+    A = tuple(closure(()))
+    while True:
+        yield A
+        for i in reversed(range(n)):
+            if i in A:
+                continue
+            B = []
+            for j in closure(tuple(a for a in A if a < i) + (i,)):
+                if j < i and j not in A:
+                    break
+                B.append(j)
+            else:
+                A = tuple(B)
+                break
+        else:
+            return
 
 
 def is_face(F: Submonoid, N: Submonoid) -> bool:
@@ -155,11 +177,14 @@ def is_face(F: Submonoid, N: Submonoid) -> bool:
 
 
 def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
-    """All faces of N, each generated by a subset of N's generators.
+    """All faces of N, each presented by its first generating subset of N's
+    generators in (size, lexicographic) order.
 
-    Faces of a finitely generated monoid are generated by generator subsets
-    (a face containing a combination contains its summands), so enumerating
-    2^k subsets is complete.  Deduplicated semantically.
+    A face is generated by the generators it contains, and those in the
+    smallest face containing S are the ones dividing a member of [S>, the
+    members of [S, -gens>: the faces are the closed sets of that closure.
+    A face's first generating subset is the first one of the unit group N*
+    plus the first generator of each irreducible class modulo N*.
     """
     gens = N.generators
     if len(gens) > max_generators:
@@ -167,18 +192,39 @@ def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
             "face enumeration over %d generators exceeds the cap of %d"
             % (len(gens), max_generators)
         )
-    found: list[Submonoid] = []
-    for r in range(len(gens) + 1):
-        for subset in itertools.combinations(gens, r):
-            F = Submonoid(N.ambient, subset)
-            if any(same_submonoid(F, G) for G in found):
+    negated = tuple(-g for g in gens)
+
+    def closure(S):
+        divides = Submonoid(N.ambient, tuple(gens[i] for i in S) + negated)
+        return (i for i, g in enumerate(gens) if i in S or contains(divides, g))
+
+    closed = list(closed_sets(len(gens), closure))
+    unit_group = Submonoid(N.ambient, tuple(gens[i] for i in closed[0]))
+    assert same_submonoid(unit_group, units(N))
+    unit_part = _first_generating_subset(unit_group)
+    found = []
+    for C in closed:
+        inside = [gens[i] for i in C]
+        picks = []
+        for g in inside:
+            if g in unit_group.generators:
                 continue
-            if is_face(F, N):
-                found.append(F)
-    u = units(N)
-    for F in found:
-        assert all(contains(F, g) for g in u.generators)
+            # g is the first of an irreducible class iff the earlier generators
+            # and the later ones outside its class do not generate it
+            rest = tuple(h for h in inside if h < g or not contains(unit_group, h - g))
+            if not contains(Submonoid(N.ambient, rest), g):
+                picks.append(g)
+        found.append(Submonoid(N.ambient, unit_part + tuple(picks)))
     return tuple(sorted(found, key=lambda F: (len(F.generators), F.generators)))
+
+
+def _first_generating_subset(G: Submonoid) -> tuple[GroupElement, ...]:
+    """The first subset of G's generators in (size, lexicographic) order that
+    generates G: faces needs it for the unit group, which has no proper faces
+    to split the search."""
+    subsets = (T for r in range(len(G.generators) + 1)
+               for T in itertools.combinations(G.generators, r))
+    return next(T for T in subsets if is_generating(T, G))
 
 
 def is_generating(S: Iterable[GroupElement], N: Submonoid) -> bool:
@@ -211,11 +257,6 @@ def monoid_rank_sharp(N: Submonoid) -> int:
     ]
     assert is_generating(irreducible, N)
     return len(irreducible)
-
-
-def intersect_with_finite(N, elements: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
-    """The members of the finite set that lie in the monoid-like N."""
-    return tuple(e for e in elements if N.contains(e))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ the group-level objects line for line.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +17,7 @@ from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import Submonoid, intersection, is_face
+from .monoids import Submonoid, closed_sets, intersection, is_face
 
 
 @dataclass(frozen=True)
@@ -181,31 +180,34 @@ def root_group(datum: ReductiveDatum, alpha: GroupElement) -> tuple[int, int]:
 def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...]:
     """All root subsets closed under addition inside the root set.
 
-    Pairwise closure is checked exhaustively over all subsets; each closed
-    subset is then verified to equal the root trace of the monoid it
-    generates, which is the form the magnet correspondence uses.
+    They are the closed sets of the pairwise-sum closure inside the root set,
+    listed by closed_sets; each is then verified to equal the root trace of
+    the monoid it generates, which is the form the magnet correspondence
+    uses.
     """
     rs = datum.rootsystem
     n = len(rs.roots)
     if n > cap:
         raise ResourceLimitError("root set of size %d exceeds the cap %d" % (n, cap))
-    idx = {r: i for i, r in enumerate(rs.roots)}
-    sums = {}
-    for i, j in itertools.combinations(range(n), 2):
-        s = rs.roots[i] + rs.roots[j]
-        if s in idx:
-            sums[(i, j)] = idx[s]
+    # roots lie in the free lattice Z^lattice_rank: sums are coordinate sums
+    coords = [r.coords for r in rs.roots]
+    idx = {c: i for i, c in enumerate(coords)}
+
+    def closure(S):
+        members = set(S)
+        todo = list(S)
+        while todo:
+            a = coords[todo.pop()]
+            for j in list(members):
+                k = idx.get(tuple(x + y for x, y in zip(a, coords[j])))
+                if k is not None and k not in members:
+                    members.add(k)
+                    todo.append(k)
+        return sorted(members)
+
     out = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        ok = all(
-            mask >> k & 1
-            for (i, j), k in sums.items()
-            if mask >> i & 1 and mask >> j & 1
-        )
-        if not ok:
-            continue
-        S = frozenset(rs.roots[i] for i in members)
+    for C in closed_sets(n, closure):
+        S = frozenset(rs.roots[i] for i in C)
         gen = Submonoid(rs.ambient, tuple(S))
         trace = frozenset(r for r in rs.roots if gen.contains(r))
         if trace != S:

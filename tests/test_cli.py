@@ -339,13 +339,3 @@ def test_output_is_byte_deterministic(p1_file, plane_file):
         ("roots", "--type", "B2", "--closed-subsets", "--json"),
     ]:
         assert run(*args).output == run(*args).output
-
-
-def test_shipped_schema_copies_are_identical():
-    import pathlib
-
-    from importlib import resources
-
-    packaged = resources.files("magnetkit").joinpath("schema/problem.json").read_bytes()
-    repo = pathlib.Path(__file__).resolve().parent.parent / "schema" / "problem.json"
-    assert packaged == repo.read_bytes()

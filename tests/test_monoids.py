@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from magnetkit.monoids import (
     Intersection,
     PreimageMonoid,
     Submonoid,
+    closed_sets,
     contains,
     divisors,
     faces,
@@ -186,6 +188,83 @@ def test_whole_monoid_and_zero_are_faces():
 def test_face_candidate_outside_monoid_rejected():
     with pytest.raises(PreconditionError):
         is_face(Submonoid.generated_by(Z2, [[1, -1]]), NAT2)
+
+
+def test_faces_in_z2_times_z3_with_units():
+    # units(N) and N itself; is_face(units(N), N) exhausts the solver's node
+    # cap, so the faces are checked by same_submonoid
+    G = FgAbelianGroup(2, (3,))
+    N = Submonoid.generated_by(
+        G, [[0, -1, 2], [-2, 2, 1], [3, -3, 1], [-3, 1, 1], [2, -2, 1], [2, -2, 0]]
+    )
+    bottom, top = faces(N)
+    assert same_submonoid(bottom, units(N))
+    assert same_submonoid(top, N)
+
+
+def _first_presentations(N):
+    """Faces by the exhaustive scan: each face at its first generating subset
+    in (size, lexicographic) order."""
+    found = []
+    for r in range(len(N.generators) + 1):
+        for subset in itertools.combinations(N.generators, r):
+            F = Submonoid(N.ambient, subset)
+            if not any(same_submonoid(F, G) for G in found) and is_face(F, N):
+                found.append(F)
+    return sorted(found, key=lambda F: (len(F.generators), F.generators))
+
+
+@pytest.mark.parametrize("group, gens", [
+    (Z2, [[-1, 0], [0, -1], [0, 1], [1, 0], [1, 1]]),
+    (Z2, [[1, 0], [-1, 0], [2, 0], [0, 1], [1, 1], [-1, 1]]),
+    (Z2, [[1, 0], [0, 1], [1, 1], [2, 1]]),
+    (FgAbelianGroup(1, (2,)), [[1, 0], [1, 1], [-1, 1], [0, 1], [2, 0]]),
+    (FgAbelianGroup(3, ()), [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]),
+])
+def test_faces_match_the_exhaustive_scan(group, gens):
+    N = Submonoid.generated_by(group, gens)
+    assert list(faces(N)) == _first_presentations(N)
+
+
+# --- closed-set engine -------------------------------------------------------
+
+
+def _implication_closure(implications):
+    def closure(S):
+        X = set(S)
+        grown = True
+        while grown:
+            grown = False
+            for premise, conclusion in implications:
+                if premise <= X and not conclusion <= X:
+                    X |= conclusion
+                    grown = True
+        return sorted(X)
+    return closure
+
+
+def test_closed_sets_match_the_mask_reference():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        implications = [
+            (set(rng.sample(range(n), rng.randint(0, min(n, 3)))),
+             set(rng.sample(range(n), rng.randint(1, min(n, 2)))))
+            for _ in range(rng.randint(0, 6) if n else 0)
+        ]
+        closure = _implication_closure(implications)
+        reference = {
+            S for S in (
+                tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)
+            )
+            if tuple(closure(S)) == S
+        }
+        got = list(closed_sets(n, closure))
+        assert set(got) == reference
+        assert len(got) == len(reference)
+        # lectic order: the first index where two sets differ is in the later
+        keys = [sum(1 << (n - 1 - i) for i in S) for S in got]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 # --- generation and rank ----------------------------------------------------
