@@ -11,7 +11,8 @@ The attractor of a presentation under a magnet N kills the graded pieces of
 degree outside N.  For a free polynomial ring that is exactly the variables
 with degree outside N (degrees inside N are closed under addition).  For a
 monoid algebra Z[N0] it is the monomial ideal generated by N0 minus N, whose
-membership test is: some divisor of the degree escapes N.
+membership test peels generators: m is a member iff m escapes N, or m - g is
+a member for some generator g with m - g in N0.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .monoids import (
     Submonoid,
     _sharp_functional,
     bounded_members,
-    divisors,
     intersection,
     is_face,
     is_group,
@@ -78,8 +78,9 @@ class MonoidIdeal:
     """Monomial ideal of a monoid algebra, generators plus avoided magnets.
 
     A degree m lies in the ideal when m - g stays in the ambient monoid for
-    some explicit generator g, or when some divisor of m escapes one of the
-    avoided magnets (the ideal generated by the complement of that magnet).
+    some explicit generator g, or when it lies in the ideal generated by the
+    complement of an avoided magnet: m escapes the magnet, or peeling one
+    monoid generator off m stays in the monoid and lands in that ideal.
     """
 
     ambient: Submonoid
@@ -129,9 +130,20 @@ def _ideal_member(I: MonoidIdeal, m: GroupElement) -> bool:
             return any(
                 not a.contains(g) for a in I.avoided for g in N0.generators
             )
-        for a in I.avoided:
-            if any(not a.contains(d) for d in divisors(N0, m)):
+        if not is_sharp(N0):
+            raise PreconditionError("ideal membership needs a sharp monoid or a group")
+        # the peels of m are exactly its divisors, finitely many as N0 is sharp
+        seen = {m}
+        work = [m]
+        while work:
+            x = work.pop()
+            if any(not a.contains(x) for a in I.avoided):
                 return True
+            for g in N0.generators:
+                y = x - g
+                if y not in seen and N0.contains(y):
+                    seen.add(y)
+                    work.append(y)
     return False
 
 
@@ -320,28 +332,26 @@ class ClosedInclusion:
     extra_killed: tuple
 
 
+def _kept(Q: Presentation) -> frozenset:
+    """What survives in Q: the variable names of a free Q, or the probes (zero
+    plus the monoid generators) at which a monoid-algebra Q survives; the
+    probes decide the killed ideal, which is generated at generator level."""
+    if isinstance(Q, FreePoly):
+        return frozenset(Q.names())
+    probes = (Q.monoid.ambient.zero(),) + Q.monoid.generators
+    return frozenset(p for p in probes if Q.survives(p))
+
+
 def inclusion_is_closed(P: Presentation, N: Submonoid, L) -> ClosedInclusion:
     """Check N subset L on generators, then killed(L) subset killed(N)."""
     for g in N.generators:
         if not L.contains(g):
             raise PreconditionError("inclusion check needs N contained in L")
-    rN = attractor(P, N)
-    rL = attractor(P, L)
-    if isinstance(P, FreePoly):
-        killed_N, killed_L = set(rN.killed), set(rL.killed)
-        if not killed_L <= killed_N:
-            raise StructuralError("killed-set containment failed on %r" % (killed_L - killed_N,))
-        return ClosedInclusion(N, L, tuple(sorted(killed_N - killed_L)))
-    probes = (P.monoid.ambient.zero(),) + P.monoid.generators
-    extra = []
-    for p in probes:
-        kn = not rN.quotient.survives(p)
-        kl = not rL.quotient.survives(p)
-        if kl and not kn:
-            raise StructuralError("killed-support containment failed at %r" % (p,))
-        if kn and not kl:
-            extra.append(p)
-    return ClosedInclusion(N, L, tuple(extra))
+    kept_N = _kept(attractor(P, N).quotient)
+    kept_L = _kept(attractor(P, L).quotient)
+    if not kept_N <= kept_L:
+        raise StructuralError("killed-set containment failed on %r" % (sorted(kept_N - kept_L),))
+    return ClosedInclusion(N, L, tuple(sorted(kept_L - kept_N)))
 
 
 @dataclass(frozen=True)
@@ -422,21 +432,10 @@ def intersect_attractors(P: Presentation, magnets: Sequence) -> AttractorResult:
     """Attractor of the intersection; killed data is the union of killed data."""
     if not magnets:
         raise PreconditionError("need at least one magnet")
-    inter = intersection(*magnets)
-    res = attractor(P, inter)
-    parts = [attractor(P, N) for N in magnets]
-    if isinstance(P, FreePoly):
-        want = set()
-        for r in parts:
-            want |= set(r.killed)
-        if set(res.killed) != want:
-            raise StructuralError("killed set is not the union of the parts")
-    else:
-        for p in (P.monoid.ambient.zero(),) + P.monoid.generators:
-            got = not res.quotient.survives(p)
-            want_p = any(not r.quotient.survives(p) for r in parts)
-            if got != want_p:
-                raise StructuralError("killed support mismatch at %r" % (p,))
+    res = attractor(P, intersection(*magnets))
+    want = frozenset.intersection(*(_kept(attractor(P, N).quotient) for N in magnets))
+    if _kept(res.quotient) != want:
+        raise StructuralError("killed set is not the union of the parts")
     return res
 
 
@@ -444,13 +443,8 @@ def iterated_attractor(P: Presentation, N, L) -> AttractorResult:
     """(X^N)^L computed both ways: iterate, and intersect; asserted equal."""
     step = attractor(attractor(P, N).quotient, L)
     direct = attractor(P, intersection(N, L))
-    if isinstance(P, FreePoly):
-        if step.quotient != direct.quotient:
-            raise StructuralError("iterated attractor disagrees with the intersection")
-    else:
-        for p in (P.monoid.ambient.zero(),) + P.monoid.generators:
-            if step.quotient.survives(p) != direct.quotient.survives(p):
-                raise StructuralError("iterated support mismatch at %r" % (p,))
+    if _kept(step.quotient) != _kept(direct.quotient):
+        raise StructuralError("iterated attractor disagrees with the intersection")
     return direct
 
 

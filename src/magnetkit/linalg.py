@@ -7,8 +7,7 @@ smith(A), returning S, D, T with
     A == S @ D @ T,   S and T unimodular (inverses returned alongside),
     D diagonal with d_1 | d_2 | ... | d_r >= 1 followed by zeros.
 
-Conventions match the column-span view: columns of A span a subgroup of Z^m,
-kernel(A) returns columns spanning the integer null space.
+Conventions match the column-span view: columns of A span a subgroup of Z^m.
 """
 
 from __future__ import annotations
@@ -171,18 +170,6 @@ def smith(A: np.ndarray) -> SmithDecomposition:
 
     assert (S @ D @ T == A).all()
     return SmithDecomposition(S, D, T, Sinv, Tinv)
-
-
-def kernel(A: np.ndarray) -> np.ndarray:
-    """Columns spanning {x in Z^n : A x = 0}."""
-    A = np.array(A, dtype=object)
-    m, n = A.shape
-    sm = smith(A)
-    diag = sm.diagonal
-    free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    out = sm.Tinv[:, free] if free else np.zeros((n, 0), dtype=object)
-    assert (A @ out == np.zeros((m, len(free)), dtype=object)).all()
-    return out
 
 
 def solve(A: np.ndarray, b: Sequence[int]) -> Optional[list[int]]:

@@ -432,17 +432,6 @@ def bounded_members(N: Submonoid, bound: int,
     return {x for x in seen if degree(x) <= bound}
 
 
-@lru_cache(maxsize=None)
-def divisors(N: Submonoid, m: GroupElement) -> tuple[GroupElement, ...]:
-    """All x in N with m - x in N, for sharp N (finite, exactly enumerated)."""
-    h = _sharp_functional(N)
-    if not contains(N, m):
-        return ()
-    hm = h(m)
-    out = [x for x in bounded_members(N, hm, h) if contains(N, m - x)]
-    return tuple(sorted(out))
-
-
 @dataclass(frozen=True)
 class SharpQuotient:
     """ambient/units(N) together with the projected monoid and the maps."""
@@ -569,10 +558,7 @@ def pushout_complement(N: Submonoid, L: Submonoid, Lp: Submonoid,
     sq = sharp_quotient(Lp)
     gens: list[GroupElement] = list(N.generators)
     if sq.monoid.generators:
-        try:
-            h = _sharp_functional(sq.monoid)
-        except PreconditionError:
-            h = None
+        h = _sharp_functional(sq.monoid)
         down = bounded_members(sq.monoid, degree_bound, h)
         lifted = []
         for mbar in sorted(down):
@@ -583,7 +569,7 @@ def pushout_complement(N: Submonoid, L: Submonoid, Lp: Submonoid,
             if not contains(L, x):
                 lifted.append(x)
         moduli = _moduli(Lp.ambient)
-        for x in sorted(lifted, key=lambda e: (h(sq.apply(e)) if h else 0, e.coords)):
+        for x in sorted(lifted, key=lambda e: (h(sq.apply(e)), e.coords)):
             if not has_nonneg_solution([k.coords for k in gens], x.coords, moduli):
                 gens.append(x)
     result = PushoutComplement(N, L, Lp, tuple(sorted(gens)), degree_bound)

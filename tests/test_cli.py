@@ -327,6 +327,22 @@ def test_dilatation_check_command(tmp_path):
     assert doc["presentation"]["divided"] == ["x"]
 
 
+def test_magnets_on_a_non_sharp_chart_exits_1(tmp_path):
+    path = write(
+        tmp_path,
+        "cylinder.json",
+        {
+            "group": {"free_rank": 2},
+            "chart": {"monoid_algebra": {"generators": [[1, 0], [-1, 0], [0, 1]]}},
+        },
+    )
+    r = run("magnets", "--input", path)
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert "sharp monoid" in r.stderr
+    assert "Traceback" not in r.output
+
+
 def test_resource_limit_exit_code(p1_file):
     r = run("magnets", "--input", p1_file, "--bound", "1")
     assert r.exit_code == 3

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,6 +138,77 @@ def test_monoid_ideal_generator_outside_monoid_rejected():
     N0 = Submonoid.generated_by(Z, [[2]])
     with pytest.raises(StructuralError):
         MonoidIdeal(N0, generators=(Z.element([3]),))
+
+
+def test_avoided_magnet_ideal_kills_by_divisors():
+    # in [2,3> the divisors of 6 are 0, 2, 3, 4, 6; only 2 escapes [3,4>
+    N0 = Submonoid.generated_by(Z, [[2], [3]])
+    six = Z.element([6])
+    assert MonoidIdeal(N0, avoided=(Submonoid.generated_by(Z, [[3], [4]]),)).contains(six)
+    assert not MonoidIdeal(N0, avoided=(Submonoid.generated_by(Z, [[2], [3]]),)).contains(six)
+    assert not MonoidIdeal(N0, avoided=(ZERO,)).contains(Z.element([1]))
+    assert not MonoidIdeal(N0, avoided=(ZERO,)).contains(Z.zero())
+
+
+def members_up_to(group, gens, bound):
+    """Members of [gens> with first coordinate <= bound, by brute force; every
+    generator has a positive first coordinate, so this slice is finite."""
+    found = {group.zero()}
+    frontier = set(found)
+    while frontier:
+        frontier = {
+            x + g for x in frontier for g in gens if (x + g).free[0] <= bound
+        } - found
+        found |= frontier
+    return found
+
+
+def random_generators(rng, group):
+    if group.free_rank == 1:
+        return [group.element([rng.randint(1, 6)]) for _ in range(rng.randint(1, 3))]
+    return [
+        group.element([rng.randint(1, 3), rng.randint(-3, 3)])
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def random_magnet(rng, group):
+    coords = [
+        [rng.randint(-4, 6) for _ in range(group.free_rank)]
+        for _ in range(rng.randint(0, 3))
+    ]
+    return Submonoid.generated_by(group, coords)
+
+
+@pytest.mark.parametrize("group", [Z, Z2], ids=["Z", "Z2"])
+def test_avoided_magnet_ideal_matches_divisor_reference(group):
+    # m is killed by avoiding M iff some divisor of m in N0 escapes M
+    rng = random.Random(4)
+    bound = 8 if group.free_rank == 1 else 5
+    for _ in range(30):
+        gens = random_generators(rng, group)
+        N0 = Submonoid(group, tuple(gens))
+        magnets = (random_magnet(rng, group),)
+        if rng.random() < 0.3:
+            magnets += (random_magnet(rng, group),)
+        I = MonoidIdeal(N0, avoided=magnets)
+        members = members_up_to(group, gens, bound)
+        for m in sorted(members):
+            divs = [d for d in members if m - d in members]
+            want = any(not M.contains(d) for M in magnets for d in divs)
+            assert I.contains(m) == want, (N0, magnets, m)
+        for c in itertools.product(range(-1, bound + 1), repeat=group.free_rank):
+            x = group.element(c)
+            if x not in members:
+                assert not I.contains(x)
+
+
+def test_ideal_membership_on_a_non_sharp_chart_is_refused():
+    N0 = Submonoid.generated_by(Z2, [[1, 0], [-1, 0], [0, 1]])
+    I = MonoidIdeal(N0, avoided=(Submonoid.generated_by(Z2, [[1, 0]]),))
+    for coords in ([0, 0], [0, 1], [-2, 3]):
+        with pytest.raises(PreconditionError):
+            I.contains(Z2.element(coords))
 
 
 # --- weight modules -----------------------------------------------------------

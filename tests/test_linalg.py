@@ -52,16 +52,6 @@ def test_smith_diagonal_divisibility_chain(rows):
         assert b % a == 0
 
 
-@given(matrices)
-@settings(max_examples=100, deadline=None)
-def test_kernel_columns_are_null_and_count_matches_rank(rows):
-    A = obj(rows)
-    m, n = A.shape
-    K = linalg.kernel(A)
-    assert (A @ K == np.zeros((m, K.shape[1]), dtype=object)).all()
-    assert K.shape[1] == n - linalg.smith(A).rank
-
-
 @given(
     matrices,
     st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4),

@@ -14,7 +14,6 @@ from magnetkit.monoids import (
     Submonoid,
     closed_sets,
     contains,
-    divisors,
     faces,
     groupification,
     intersection,
@@ -384,7 +383,7 @@ def test_grading_morphism_validates_positivity():
         GradingMorphism(NAT2, (1, -1))
 
 
-# --- bounded members and divisors ---------------------------------------------
+# --- bounded members -----------------------------------------------------------
 
 
 def test_bounded_members_slice():
@@ -394,19 +393,6 @@ def test_bounded_members_slice():
         Z2.element([a, b]) for a in range(3) for b in range(3) if h.degree(Z2.element([a, b])) <= 2
     }
     assert members == want
-
-
-def test_divisors_in_numerical_semigroup():
-    N = Submonoid.generated_by(Z, [[2], [3]])
-    assert divisors(N, Z.element([6])) == tuple(
-        Z.element([k]) for k in (0, 2, 3, 4, 6)
-    )
-    assert divisors(N, Z.element([1])) == ()
-
-
-def test_divisors_of_zero():
-    N = Submonoid.generated_by(Z, [[2], [3]])
-    assert divisors(N, Z.element([0])) == (Z.element([0]),)
 
 
 # --- intersections and preimages ------------------------------------------------
