@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, StructuralError
 from .graded import FreePoly, attractor
-from .monoids import (
-    GradingMorphism,
-    Submonoid,
-    _positive_covector,
-    sharp_quotient,
-    units,
-)
+from .monoids import GradingMorphism, Submonoid, positive_grading, sharp_quotient, units
 
 
 @dataclass(frozen=True)
@@ -81,9 +75,7 @@ def bb_bundle(P: FreePoly, N: Submonoid, hilbert_check_bound: int = 8) -> BBResu
         raise PreconditionError("negative check bound")
     PN = attractor(P, N).quotient
     sq = sharp_quotient(N)
-    certificate = GradingMorphism(
-        sq.monoid, _positive_covector(sq.monoid.generators, sq.group.free_rank)
-    )
+    certificate = positive_grading(sq.monoid)
 
     base_vars = []
     fiber_hdegs = []

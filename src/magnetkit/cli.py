@@ -135,23 +135,33 @@ def _file_monoid(group: FgAbelianGroup, block: dict) -> Submonoid:
     return Submonoid.generated_by(group, block["generators"])
 
 
+def _flag_vectors(text: str, flag: str, length: int, shape: str,
+                  nested: bool = False) -> list:
+    """Parse a coordinate flag's JSON: one integer vector of the given length,
+    or with nested a list of them.  Malformed JSON, entries that are not
+    integers (booleans, floats and strings included) and a wrong shape are
+    schema errors at the flag; a wrong shape reports shape, except a nested
+    vector of the wrong length, which reports the expected length."""
+    loc = "--" + flag
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError("%s is not JSON: %s" % (loc, e), location=loc)
+    vectors = value if nested else [value]
+    if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
+        raise SchemaError(shape, location=loc)
+    if not all(type(c) is int for v in vectors for c in v):
+        raise SchemaError("%s coordinates must be integers" % loc, location=loc)
+    if any(len(v) != length for v in vectors):
+        raise SchemaError("expected %d coordinates" % length if nested else shape,
+                          location=loc)
+    return value
+
+
 def _monoid_arg(doc, group, flag_value, key="monoid") -> Submonoid:
     if flag_value is not None:
-        try:
-            gens = json.loads(flag_value)
-        except json.JSONDecodeError as e:
-            raise SchemaError("--monoid is not JSON: %s" % e, location="--monoid")
-        if not isinstance(gens, list) or not all(
-            isinstance(g, list) and all(isinstance(c, int) for c in g) for g in gens
-        ):
-            raise SchemaError(
-                "--monoid must be a list of integer vectors", location="--monoid"
-            )
-        for g in gens:
-            if len(g) != group.coord_count:
-                raise SchemaError(
-                    "expected %d coordinates" % group.coord_count, location="--monoid"
-                )
+        gens = _flag_vectors(flag_value, "monoid", group.coord_count,
+                             "--monoid must be a list of integer vectors", nested=True)
         return Submonoid.generated_by(group, gens)
     if key in doc:
         return _file_monoid(group, doc[key])
@@ -385,20 +395,9 @@ def cmd_membership(path, monoid_json, element_json, as_json):
     doc = load_problem(path)
     group = _group(doc)
     N = _monoid_arg(doc, group, monoid_json)
-    try:
-        coords = json.loads(element_json)
-    except json.JSONDecodeError as e:
-        raise SchemaError("--element is not JSON: %s" % e, location="--element")
-    if (
-        not isinstance(coords, list)
-        or len(coords) != group.coord_count
-        or not all(isinstance(c, int) for c in coords)
-    ):
-        raise SchemaError(
-            "--element needs %d integer coordinates" % group.coord_count,
-            location="--element",
-        )
-    m = group.element(coords)
+    m = group.element(_flag_vectors(
+        element_json, "element", group.coord_count,
+        "--element needs %d integer coordinates" % group.coord_count))
     member = N.contains(m)
     _emit(
         {
@@ -505,14 +504,8 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
             _emit(payload, as_json, lines)
             sys.exit(1)
     elif root_spec is not None:
-        try:
-            coords = json.loads(root_spec)
-        except json.JSONDecodeError as e:
-            raise SchemaError("--root is not JSON: %s" % e, location="--root")
-        if not isinstance(coords, list) or len(coords) != rs.lattice_rank:
-            raise SchemaError(
-                "--root needs %d coordinates" % rs.lattice_rank, location="--root"
-            )
+        coords = _flag_vectors(root_spec, "root", rs.lattice_rank,
+                               "--root needs %d coordinates" % rs.lattice_rank)
         h, u = root_group(datum, rs.ambient.element(coords))
         payload.update({"attractor_dim": h, "unit_limit_dim": u})
         lines.append(

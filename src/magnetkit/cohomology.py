@@ -14,6 +14,7 @@ Coefficients are exact rationals throughout.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,44 +188,27 @@ def _relevant_degrees(c: Cochain) -> list[GroupElement]:
 def differential(c: Cochain) -> Cochain:
     """The coboundary, one arity up.  Defined for arities 0, 1 and 2.
 
+    For c of arity n, at k = (k0, ..., kn):
+        mu_{k0} c(k1..kn) + sum_i (-1)^i [k_{i-1} = k_i] c(k without k_i)
+                          + (-1)^(n+1) [kn = 0] c(k0..k_{n-1}).
     Outside the finite probe grid every term vanishes: each summand needs
     its arguments to hit the support of c or the degree of a surviving
     component, and those all lie in the relevant-degree set.
     """
     if c.arity >= 3:
         raise StructuralError("differential implemented up to arity 2")
-    K = _relevant_degrees(c)
+    n = c.arity
     zero = c.module.grading_group.zero()
     out = []
-    if c.arity == 0:
-        v = c()
-        for m in K:
-            val = mu(m, v)
-            if m == zero:
-                val = val - v
-            out.append(((m,), val))
-    elif c.arity == 1:
-        for k in K:
-            for l in K:
-                val = mu(k, c(l))
-                if k == l:
-                    val = val - c(l)
-                if l == zero:
-                    val = val + c(k)
-                out.append(((k, l), val))
-    else:
-        for k in K:
-            for l in K:
-                for m in K:
-                    val = mu(k, c(l, m))
-                    if k == l:
-                        val = val - c(l, m)
-                    if l == m:
-                        val = val + c(k, l)
-                    if m == zero:
-                        val = val - c(k, l)
-                    out.append(((k, l, m), val))
-    return Cochain(c.module, c.arity + 1, tuple(out))
+    for k in itertools.product(_relevant_degrees(c), repeat=n + 1):
+        val = mu(k[0], c(*k[1:]))
+        terms = [(i, k[:i] + k[i + 1:]) for i in range(1, n + 1) if k[i - 1] == k[i]]
+        if k[n] == zero:
+            terms.append((n + 1, k[:n]))
+        for i, args in terms:
+            val = val - c(*args) if i % 2 else val + c(*args)
+        out.append((k, val))
+    return Cochain(c.module, n + 1, tuple(out))
 
 
 def is_cocycle(c: Cochain) -> bool:

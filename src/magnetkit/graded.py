@@ -24,13 +24,14 @@ from typing import Optional, Sequence, Union
 from .errors import PreconditionError, SharpenRequiredError, StructuralError
 from .groups import FgAbelianGroup, GroupElement, GroupHom
 from .monoids import (
+    CACHE_SIZE,
     Submonoid,
-    _sharp_functional,
     bounded_members,
     intersection,
     is_face,
     is_group,
     is_sharp,
+    positive_grading,
     units,
 )
 
@@ -118,7 +119,7 @@ class MonoidIdeal:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ideal_member(I: MonoidIdeal, m: GroupElement) -> bool:
     N0 = I.ambient
     for g in I.generators:
@@ -303,7 +304,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
         # once the word-length BFS stabilizes below the probe bound
         return SupportReport(members, finite if finite else False, None, False)
 
-    h = _sharp_functional(N0)
+    h = positive_grading(N0).degree
     maxh = max(h(g) for g in N0.generators)
     all_members = bounded_members(N0, probe_bound, h)
     survivors = sorted(m for m in all_members if A.survives(m))

@@ -5,7 +5,10 @@ A Submonoid is a presentation: an ambient group plus a canonical generator
 tuple (sorted, deduplicated, zero dropped).  Equality is presentation
 equality; semantic equality is same_submonoid.  Membership is decided exactly
 by the diophantine completion solver, with congruence rows for the torsion
-coordinates, and is cached.
+coordinates, and is cached; contains is the only route to the solver, so
+every question (faces, irreducible generators, pushout complements) is posed
+as membership in some submonoid.  Likewise positive_grading is the only route
+to the positive-covector search.
 
 Monoid-like duck type: anything with .ambient and .contains(element) can be
 used as a magnet by the graded/atlas layers (Submonoid, Intersection,
@@ -77,14 +80,15 @@ class Submonoid:
         return "[" + ", ".join(repr(g) for g in self.generators) + ">"
 
 
-def _moduli(ambient: FgAbelianGroup) -> tuple[int, ...]:
-    return (0,) * ambient.free_rank + ambient.torsion_orders
+# entries kept by the membership and ideal caches; the heaviest single calls
+# (closed root subsets of G2, the A3 adjoint magnets) stay below 7000
+CACHE_SIZE = 2 ** 16
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
-    cols = [g.coords for g in N.generators]
-    return has_nonneg_solution(cols, m.coords, _moduli(N.ambient))
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
+    return has_nonneg_solution([g.coords for g in N.generators], m.coords, moduli)
 
 
 def contains(N: Submonoid, m: GroupElement) -> bool:
@@ -157,23 +161,15 @@ def closed_sets(n: int, closure: Callable[[tuple[int, ...]], Iterable[int]]
 def is_face(F: Submonoid, N: Submonoid) -> bool:
     """Whether F is a face of N: x + y in F iff x in F and y in F.
 
-    Decided exactly: F is a face iff no nonnegative combination of N's
-    generators with positive weight on a generator outside F lands in F.  Per
-    outside generator g this is one solver query for
-        g + (N-combination) = (F-combination).
+    Decided exactly: F is a face iff no generator g of N outside F divides a
+    member of F, i.e. g + (N-member) = (F-member) has no solution: g is not in
+    [F, -gens of N>, the membership question the faces closure asks.
     """
     for f in F.generators:
         if not contains(N, f):
             raise PreconditionError("face candidate is not contained in the monoid")
-    moduli = _moduli(N.ambient)
-    cols = [f.coords for f in F.generators]
-    cols += [tuple(-c for c in g.coords) for g in N.generators]
-    for g in N.generators:
-        if contains(F, g):
-            continue
-        if has_nonneg_solution(cols, g.coords, moduli):
-            return False
-    return True
+    divides = Submonoid(N.ambient, F.generators + tuple(-g for g in N.generators))
+    return not any(contains(divides, g) for g in N.generators if not contains(F, g))
 
 
 def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
@@ -240,20 +236,18 @@ def is_generating(S: Iterable[GroupElement], N: Submonoid) -> bool:
 def monoid_rank_sharp(N: Submonoid) -> int:
     """Size of the unique minimal generating set of a sharp monoid.
 
-    A presented generator is redundant iff it is a combination of generators
-    with total coefficient >= 2 (sharpness rules out cancellation tricks), so
-    one solver query with a coefficient-counting row decides irreducibility.
+    A presented generator g is redundant (a sum of at least two generators)
+    iff g - h is in N for another generator h.  Such a sum gives g
+    coefficient 0, since otherwise subtracting g leaves 0 as a nonempty sum
+    of nonzero generators, which sharpness forbids; so g - h is in N for any
+    h it uses.  Conversely g = h + (member of N) with h != g is a sum of at
+    least two generators.
     """
     if not is_sharp(N):
         raise PreconditionError("monoid rank is only computed for sharp monoids")
     gens = N.generators
-    if not gens:
-        return 0
-    moduli = _moduli(N.ambient) + (0,)
-    count_slack = (0,) * N.ambient.coord_count + (-1,)
-    cols = [g.coords + (1,) for g in gens] + [count_slack]
     irreducible = [
-        g for g in gens if not has_nonneg_solution(cols, g.coords + (2,), moduli)
+        g for g in gens if not any(contains(N, g - h) for h in gens if h != g)
     ]
     assert is_generating(irreducible, N)
     return len(irreducible)
@@ -371,34 +365,16 @@ def _positive_covector(gens: Sequence[GroupElement], free_rank: int,
 
 
 def positive_grading(N: Submonoid) -> GradingMorphism:
-    """A grading h: N -> N_0 with h > 0 on nonzero members.
+    """A grading h: N -> N_0 with h > 0 on nonzero members, read off the free
+    parts.
 
-    Requires N sharp (such an h exists exactly then) and, as a declared
-    restriction, generators with vanishing torsion coordinates.
+    Exists exactly when N is sharp: a nonnegative relation among the free
+    parts of the generators would scale (by the torsion exponent) to a
+    relation among the generators themselves, producing a unit.
     """
     if not is_sharp(N):
         raise PreconditionError("positive grading requires a sharp monoid")
-    for g in N.generators:
-        if any(t != 0 for t in g.torsion):
-            raise PreconditionError(
-                "positive grading requires torsion-free generators; "
-                "pass the monoid through sharp_quotient first"
-            )
-    w = _positive_covector(N.generators, N.ambient.free_rank)
-    return GradingMorphism(N, w)
-
-
-def _sharp_functional(N: Submonoid) -> Callable[[GroupElement], int]:
-    """Free-part functional with h >= 1 on nonzero members of a sharp monoid.
-
-    Exists for every sharp finitely generated monoid: a nonnegative relation
-    among the free parts would scale (by the torsion exponent) to a relation
-    among the generators, producing a unit.
-    """
-    if not is_sharp(N):
-        raise PreconditionError("functional requires a sharp monoid")
-    w = _positive_covector(N.generators, N.ambient.free_rank)
-    return lambda m: sum(a * b for a, b in zip(w, m.free))
+    return GradingMorphism(N, _positive_covector(N.generators, N.ambient.free_rank))
 
 
 def bounded_members(N: Submonoid, bound: int,
@@ -556,22 +532,19 @@ def pushout_complement(N: Submonoid, L: Submonoid, Lp: Submonoid,
         raise PreconditionError("L must be a face of L'")
 
     sq = sharp_quotient(Lp)
+    h = positive_grading(sq.monoid).degree
+    lifted = []
+    for mbar in sorted(bounded_members(sq.monoid, degree_bound, h)):
+        if mbar.is_zero():
+            continue
+        x = sq.section(mbar)
+        # fibers over nonzero degrees sit entirely inside or outside L
+        if not contains(L, x):
+            lifted.append(x)
     gens: list[GroupElement] = list(N.generators)
-    if sq.monoid.generators:
-        h = _sharp_functional(sq.monoid)
-        down = bounded_members(sq.monoid, degree_bound, h)
-        lifted = []
-        for mbar in sorted(down):
-            if mbar.is_zero():
-                continue
-            x = sq.section(mbar)
-            # fibers over nonzero degrees sit entirely inside or outside L
-            if not contains(L, x):
-                lifted.append(x)
-        moduli = _moduli(Lp.ambient)
-        for x in sorted(lifted, key=lambda e: (h(sq.apply(e)), e.coords)):
-            if not has_nonneg_solution([k.coords for k in gens], x.coords, moduli):
-                gens.append(x)
+    for x in sorted(lifted, key=lambda e: (h(sq.apply(e)), e.coords)):
+        if not contains(Submonoid(Lp.ambient, tuple(gens)), x):
+            gens.append(x)
     result = PushoutComplement(N, L, Lp, tuple(sorted(gens)), degree_bound)
     if not is_face(N, Submonoid(Lp.ambient, result.generators)):
         raise StructuralError("pushout complement lost the face property")

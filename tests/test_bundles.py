@@ -16,7 +16,7 @@ from magnetkit.errors import (
 )
 from magnetkit.graded import FreePoly, attractor
 from magnetkit.groups import FgAbelianGroup
-from magnetkit.monoids import Submonoid, sharp_quotient
+from magnetkit.monoids import Submonoid, positive_grading, sharp_quotient
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(2, ())
@@ -88,6 +88,19 @@ def test_torsion_grading_bundle():
     assert res.base.vars == ()
     assert res.fiber_rank == 2
     assert res.hilbert_counts[:3] == (1, 2, 3)
+
+
+def test_certificate_is_the_positive_grading_of_the_sharp_quotient():
+    # units (1,0,0) are divided out; the image still has torsion coordinates
+    G = FgAbelianGroup(2, (2,))
+    P = FreePoly.of(G, [("a", [1, 0, 0]), ("b", [0, 1, 1]), ("c", [3, 2, 0])])
+    N = Submonoid.generated_by(G, [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [1, 2, 0]])
+    sq = sharp_quotient(N)
+    assert any(any(g.torsion) for g in sq.monoid.generators)
+    res = bb_bundle(P, N)
+    assert res.certificate == positive_grading(sq.monoid)
+    assert res.base.names() == ("a",)
+    assert res.fiber_degrees == (1, 2)
 
 
 def test_configurable_bound():

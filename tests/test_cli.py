@@ -2,6 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magnetkit.cli import main
 
@@ -177,6 +178,46 @@ def test_membership_answers(plane_file):
 def test_membership_rejects_bad_element(plane_file):
     r = run("membership", "--input", plane_file, "--element", "[1]")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("flag, args", [
+    ("--root", ("roots", "--type", "A2", "--root", "[1.5,-1,0]")),
+    ("--root", ("roots", "--type", "A2", "--root", '["a","b","c"]')),
+    ("--element", ("membership", "--element", "[true,0]")),
+    ("--monoid", ("membership", "--monoid", "[[true,0]]", "--element", "[1,0]")),
+])
+def test_flag_vectors_must_hold_integers(plane_file, flag, args):
+    if args[0] == "membership":
+        args = args[:1] + ("--input", plane_file) + args[1:]
+    r = run(*args)
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "schema error at %s" % flag in r.output
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=10,
+)
+# small integers keep the answers that do run to the solver fast
+flag_texts = json_values.map(json.dumps) | st.text(max_size=6)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["--root", "--element", "--monoid"]), flag_texts)
+def test_fuzzed_vector_flags_end_in_an_exit_code(plane_file, flag, text):
+    if flag == "--root":
+        r = run("roots", "--type", "A2", "--root", text)
+    elif flag == "--element":
+        r = run("membership", "--input", plane_file, "--element", text)
+    else:
+        r = run("membership", "--input", plane_file, "--monoid", text, "--element", "[1,0]")
+    assert r.exit_code in (0, 1, 2, 3)
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "Traceback" not in r.output
 
 
 def test_roots_parabolic_dimensions():

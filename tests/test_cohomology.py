@@ -150,3 +150,63 @@ def test_second_differential_vanishes_on_one_cochains(mv, keys):
         dedup[key] = val
     c = Cochain.of(M, 1, list(dedup.items()))
     assert differential(differential(c)).is_zero()
+
+
+def _differential_by_arity(c):
+    """The coboundary written out arity by arity, as a reference."""
+    K = sorted({Z.element([0])}
+               | {d for key, value in c.entries for d in key + value.support_degrees()})
+    zero = Z.element([0])
+    out = []
+    if c.arity == 0:
+        v = c()
+        for m in K:
+            val = mu(m, v)
+            if m == zero:
+                val = val - v
+            out.append(((m,), val))
+    elif c.arity == 1:
+        for k in K:
+            for l in K:
+                val = mu(k, c(l))
+                if k == l:
+                    val = val - c(l)
+                if l == zero:
+                    val = val + c(k)
+                out.append(((k, l), val))
+    else:
+        for k in K:
+            for l in K:
+                for m in K:
+                    val = mu(k, c(l, m))
+                    if k == l:
+                        val = val - c(l, m)
+                    if l == m:
+                        val = val + c(k, l)
+                    if m == zero:
+                        val = val - c(k, l)
+                    out.append(((k, l, m), val))
+    return Cochain(c.module, c.arity + 1, tuple(out))
+
+
+@st.composite
+def random_cochain(draw):
+    degs = draw(st.lists(degree, min_size=1, max_size=3))
+    M = GradedFreeModule.of(Z, [("m%d" % i, [d]) for i, d in enumerate(degs)])
+    arity = draw(st.integers(0, 2))
+    keys = draw(st.lists(st.tuples(*[degree] * arity), max_size=4, unique=True))
+    table = [(tuple(Z.element([d]) for d in key),
+              ModuleElement(M, tuple(draw(coeff) for _ in degs))) for key in keys]
+    return Cochain.of(M, arity, table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cochain())
+def test_differential_matches_the_per_arity_formulas(c):
+    assert differential(c) == _differential_by_arity(c)
+
+
+def test_differential_refuses_arity_three():
+    M = line_module()
+    with pytest.raises(StructuralError):
+        differential(Cochain.of(M, 3, []))

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magnetkit.diophantine import has_nonneg_solution
 from magnetkit.errors import PreconditionError, StructuralError
 from magnetkit.groups import FgAbelianGroup, hom_from_matrix
 from magnetkit import monoids
@@ -295,6 +296,58 @@ def test_rank_with_torsion():
     assert not is_sharp(N)
 
 
+def _random_monoids(seed, count):
+    """Seeded monoids on 1-4 small generators in Z, Z^2 and Z^2 x Z/2, Z x Z/3."""
+    rng = random.Random(seed)
+    groups = [Z, Z2, FgAbelianGroup(2, (2,)), FgAbelianGroup(1, (3,))]
+    for _ in range(count):
+        G = rng.choice(groups)
+        gens = [[rng.randint(-2, 2) for _ in range(G.free_rank)]
+                + [rng.randrange(n) for n in G.torsion_orders]
+                for _ in range(rng.randint(1, 4))]
+        yield Submonoid.generated_by(G, gens)
+
+
+def _rank_by_counting_row(N):
+    """The rank as one solver query per generator: is g a combination of the
+    generators with total coefficient >= 2, counted in an extra row."""
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders + (0,)
+    cols = [g.coords + (1,) for g in N.generators]
+    cols.append((0,) * N.ambient.coord_count + (-1,))
+    return sum(not has_nonneg_solution(cols, g.coords + (2,), moduli)
+               for g in N.generators)
+
+
+def _is_face_by_columns(F, N):
+    """Face test as one solver query per generator g of N outside F:
+    g + (N-combination) = (F-combination), with F and -N as columns."""
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
+    cols = [f.coords for f in F.generators]
+    cols += [tuple(-c for c in g.coords) for g in N.generators]
+    return not any(has_nonneg_solution(cols, g.coords, moduli)
+                   for g in N.generators if not contains(F, g))
+
+
+def test_monoid_rank_matches_the_counting_row_query():
+    sharp = [N for N in _random_monoids(5, 120) if is_sharp(N)]
+    assert len(sharp) > 40
+    assert any(N.ambient.torsion_orders for N in sharp)
+    for N in sharp:
+        assert monoid_rank_sharp(N) == _rank_by_counting_row(N), N.describe()
+
+
+def test_is_face_matches_the_column_query():
+    rng = random.Random(7)
+    answers = set()
+    for N in _random_monoids(6, 80):
+        for _ in range(3):
+            F = Submonoid(N.ambient, tuple(g for g in N.generators if rng.random() < 0.5))
+            want = _is_face_by_columns(F, N)
+            assert is_face(F, N) == want, (F.describe(), N.describe())
+            answers.add((bool(N.ambient.torsion_orders), want))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
 # --- sharp quotient ----------------------------------------------------------
 
 
@@ -359,11 +412,11 @@ def test_positive_grading_requires_sharp():
         positive_grading(Submonoid.generated_by(Z, [[1], [-1]]))
 
 
-def test_positive_grading_rejects_torsion_coordinates():
+def test_positive_grading_grades_torsion_generators_on_free_parts():
     G = FgAbelianGroup(1, (2,))
     N = Submonoid.generated_by(G, [[1, 1]])
-    with pytest.raises(PreconditionError):
-        positive_grading(N)
+    assert positive_grading(N).covector == (1,)
+    assert positive_grading(sharp_quotient(N).monoid).covector == (1,)
 
 
 def test_positive_grading_zero_monoid():
