@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .errors import ResourceLimitError, StructuralError
+from .errors import ResourceLimitError, StructuralError, crosscheck
 from .graded import FreePoly, MonoidAlgebra, MonoidIdeal, WeightModule
 from .groups import FgAbelianGroup, GroupElement
 from .monoids import Submonoid, closed_sets
@@ -84,7 +84,8 @@ def _generated(atlas: EquivariantAtlas, subset: Iterable[GroupElement]) -> Submo
     return Submonoid(atlas.grading_group, tuple(subset))
 
 
-@lru_cache(maxsize=None)
+# reused by later calls on one atlas; each table holds up to 2^cap closed sets
+@lru_cache(maxsize=4)
 def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
     """All closed S (with [S> meeting E exactly in S), with fingerprints."""
     E = degree_support(atlas)
@@ -110,12 +111,10 @@ def pure_magnet(atlas: EquivariantAtlas, N, cap: int = 20) -> Submonoid:
     """
     fp = fingerprint(atlas, N)
     matching = [S for S, sfp in _closed_subset_table(atlas, cap) if sfp == fp]
-    if not matching:
-        raise StructuralError("no closed subset matches the magnet fingerprint")
+    crosscheck(matching, "no closed subset matches the magnet fingerprint")
     core = frozenset.intersection(*matching)
     result = _generated(atlas, core)
-    if fingerprint(atlas, result) != fp:
-        raise StructuralError("pure-magnet candidate changed the attractor")
+    crosscheck(fingerprint(atlas, result) == fp, "pure-magnet candidate changed the attractor")
     return result
 
 
@@ -185,8 +184,7 @@ def enumerate_magnets(atlas: EquivariantAtlas, cap: int = 20) -> MagnetPoset:
     for fp, members in classes.items():
         core = frozenset.intersection(*members)
         rep = _generated(atlas, core)
-        if fingerprint(atlas, rep) != fp:
-            raise StructuralError("class intersection changed the attractor")
+        crosscheck(fingerprint(atlas, rep) == fp, "class intersection changed the attractor")
         rows.append((core, rep, fp))
     rows.sort(key=lambda r: (len(r[0]), sorted(g.coords for g in r[0])))
     return MagnetPoset(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError, StructuralError, crosscheck
 from .graded import FreePoly, attractor
 from .monoids import GradingMorphism, Submonoid, positive_grading, sharp_quotient, units
 
@@ -81,23 +81,20 @@ def bb_bundle(P: FreePoly, N: Submonoid, hilbert_check_bound: int = 8) -> BBResu
     fiber_hdegs = []
     for name, deg in PN.vars:
         h = certificate.degree(sq.apply(deg))
+        crosscheck(h >= 0, "negative certificate degree on %r", name)
         if h == 0:
             base_vars.append((name, deg))
-        elif h > 0:
-            fiber_hdegs.append(h)
         else:
-            raise StructuralError("negative certificate degree on %r" % (name,))
+            fiber_hdegs.append(h)
     Nstar = units(N)
     by_units = [v for v in PN.vars if Nstar.contains(v[1])]
-    if by_units != base_vars:
-        raise StructuralError("certificate base disagrees with unit membership")
+    crosscheck(by_units == base_vars, "certificate base disagrees with unit membership")
 
     base = FreePoly(PN.grading_group, tuple(base_vars), PN.coeff)
     fiber_degrees = tuple(sorted(fiber_hdegs))
     counts = _sym_counts(fiber_degrees, hilbert_check_bound)
     recount = _monomial_counts(fiber_degrees, hilbert_check_bound)
-    if counts != recount:
-        raise StructuralError("graded dimension counts disagree")
+    crosscheck(counts == recount, "graded dimension counts disagree")
     pi0 = counts[0] == 1 and all(h >= 1 for h in fiber_degrees)
     return BBResult(
         base,

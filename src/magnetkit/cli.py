@@ -50,6 +50,14 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+# JSON Schema counts 1.0 as an integer; the wire format has no floats at all
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: type(value) is int),
+)
+
+
 def load_problem(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -58,7 +66,7 @@ def load_problem(path: str) -> dict:
         raise SchemaError("cannot read %s: %s" % (path, e.strerror))
     except json.JSONDecodeError as e:
         raise SchemaError("not JSON: %s" % e, location=path)
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = _Validator(_schema())
     problems = sorted(
         validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
     )
@@ -238,7 +246,7 @@ def guarded(fn):
         except ResourceLimitError as e:
             click.echo("resource limit: %s" % e, err=True)
             sys.exit(3)
-        except (MagnetError, AssertionError) as e:
+        except MagnetError as e:
             click.echo("error: %s" % e, err=True)
             sys.exit(1)
 

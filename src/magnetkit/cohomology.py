@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotACocycleError, StructuralError
+from .errors import NotACocycleError, StructuralError, crosscheck
 from .groups import FgAbelianGroup, GroupElement
 
 
@@ -231,8 +231,7 @@ def primitive(xi: Cochain) -> Cochain:
         )
     zero = xi.module.grading_group.zero()
     v = Cochain.constant(-xi(zero))
-    if differential(v) != xi:
-        raise StructuralError("primitive formula failed to reproduce the cocycle")
+    crosscheck(differential(v) == xi, "primitive formula failed to reproduce the cocycle")
     return v
 
 
@@ -255,11 +254,8 @@ def h1_zero_suite(
         )
         v = ModuleElement(module, coeffs)
         xi = differential(Cochain.constant(v))
-        if not is_cocycle(xi):
-            raise StructuralError("a coboundary failed the cocycle test")
+        crosscheck(is_cocycle(xi), "a coboundary failed the cocycle test")
         p = primitive(xi)
-        if differential(p) != xi:
-            raise StructuralError("primitive round trip failed")
-        if p() != v - mu(zero, v):
-            raise StructuralError("primitive is not the reduced original")
+        crosscheck(differential(p) == xi, "primitive round trip failed")
+        crosscheck(p() == v - mu(zero, v), "primitive is not the reduced original")
     return trials

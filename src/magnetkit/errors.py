@@ -11,8 +11,15 @@ class MagnetError(Exception):
 
 
 class StructuralError(MagnetError):
-    """Objects that cannot be combined: ambient mismatch, bad coordinates,
-    malformed presentations."""
+    """Objects that cannot be combined (ambient mismatch, bad coordinates,
+    malformed presentations), or two routes to one result that disagree."""
+
+
+def crosscheck(ok, message, *args):
+    """Raise StructuralError(message % args) unless ok, also under python -O:
+    the one check through which every result computed two ways is compared."""
+    if not ok:
+        raise StructuralError(message % args)
 
 
 class PreconditionError(MagnetError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .errors import PreconditionError, SharpenRequiredError, StructuralError
+from .errors import PreconditionError, SharpenRequiredError, StructuralError, crosscheck
 from .groups import FgAbelianGroup, GroupElement, GroupHom
 from .monoids import (
     CACHE_SIZE,
@@ -307,7 +307,8 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     h = positive_grading(N0).degree
     maxh = max(h(g) for g in N0.generators)
     all_members = bounded_members(N0, probe_bound, h)
-    survivors = sorted(m for m in all_members if A.survives(m))
+    # members built from generators lie in N0: only the ideal test is left
+    survivors = sorted(m for m in all_members if not _ideal_member(A.killed, m))
     by_degree: dict[int, bool] = {}
     for m in survivors:
         by_degree[h(m)] = True
@@ -317,7 +318,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
             non_reduced = any(not m.is_zero() for m in members)
             return SupportReport(members, True, B, non_reduced)
     witnessed = any(
-        not m.is_zero() and k * h(m) <= probe_bound and not A.survives(m.scale(k))
+        not m.is_zero() and k * h(m) <= probe_bound and _ideal_member(A.killed, m.scale(k))
         for m in survivors
         for k in range(2, probe_bound // max(h(m), 1) + 1)
     )
@@ -350,8 +351,7 @@ def inclusion_is_closed(P: Presentation, N: Submonoid, L) -> ClosedInclusion:
             raise PreconditionError("inclusion check needs N contained in L")
     kept_N = _kept(attractor(P, N).quotient)
     kept_L = _kept(attractor(P, L).quotient)
-    if not kept_N <= kept_L:
-        raise StructuralError("killed-set containment failed on %r" % (sorted(kept_N - kept_L),))
+    crosscheck(kept_N <= kept_L, "killed-set containment failed on %r", sorted(kept_N - kept_L))
     return ClosedInclusion(N, L, tuple(sorted(kept_L - kept_N)))
 
 
@@ -377,8 +377,7 @@ def face_retraction(P: Presentation, N: Submonoid, F: Submonoid) -> FaceRetracti
     PN = attractor(P, N).quotient
     step = attractor(PN, F)
     PF = attractor(P, F).quotient
-    if step.quotient != PF:
-        raise StructuralError("retraction composite is not the identity")
+    crosscheck(step.quotient == PF, "retraction composite is not the identity")
     return FaceRetraction(PN, PF, step.killed)
 
 
@@ -435,8 +434,7 @@ def intersect_attractors(P: Presentation, magnets: Sequence) -> AttractorResult:
         raise PreconditionError("need at least one magnet")
     res = attractor(P, intersection(*magnets))
     want = frozenset.intersection(*(_kept(attractor(P, N).quotient) for N in magnets))
-    if _kept(res.quotient) != want:
-        raise StructuralError("killed set is not the union of the parts")
+    crosscheck(_kept(res.quotient) == want, "killed set is not the union of the parts")
     return res
 
 
@@ -444,8 +442,8 @@ def iterated_attractor(P: Presentation, N, L) -> AttractorResult:
     """(X^N)^L computed both ways: iterate, and intersect; asserted equal."""
     step = attractor(attractor(P, N).quotient, L)
     direct = attractor(P, intersection(N, L))
-    if _kept(step.quotient) != _kept(direct.quotient):
-        raise StructuralError("iterated attractor disagrees with the intersection")
+    crosscheck(_kept(step.quotient) == _kept(direct.quotient),
+               "iterated attractor disagrees with the intersection")
     return direct
 
 
@@ -453,8 +451,7 @@ def product_attractor(W1: WeightModule, W2: WeightModule, N) -> WeightModule:
     """Attractor of a direct sum, asserted equal to the sum of attractors."""
     combined = weight_attractor(W1.direct_sum(W2), N)
     split = weight_attractor(W1, N).direct_sum(weight_attractor(W2, N))
-    if combined != split:
-        raise StructuralError("attractor does not commute with the direct sum")
+    crosscheck(combined == split, "attractor does not commute with the direct sum")
     return combined
 
 
@@ -464,8 +461,7 @@ def semidirect_dims(W: WeightModule, N: Submonoid) -> tuple[int, int, int]:
     total = weight_attractor(W, N).dimension
     limit_part = weight_attractor(W, star).dimension
     prescribed_part = prescribed_limit(W, N, star, "unit").dimension
-    if total != limit_part + prescribed_part:
-        raise StructuralError("semidirect dimension bookkeeping failed")
+    crosscheck(total == limit_part + prescribed_part, "semidirect dimension bookkeeping failed")
     return (total, limit_part, prescribed_part)
 
 

@@ -16,6 +16,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import crosscheck
+
 
 def as_object_matrix(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> np.ndarray:
     """Build an (m, n) object array from nested ints; width disambiguates m x 0."""
@@ -168,7 +170,7 @@ def smith(A: np.ndarray) -> SmithDecomposition:
         if D[k, k] < 0:
             row_negate(k)
 
-    assert (S @ D @ T == A).all()
+    crosscheck((S @ D @ T == A).all(), "Smith decomposition does not reproduce the matrix")
     return SmithDecomposition(S, D, T, Sinv, Tinv)
 
 
@@ -191,7 +193,8 @@ def solve(A: np.ndarray, b: Sequence[int]) -> Optional[list[int]]:
             if i < n:
                 y[i] = c[i] // d
     x = sm.Tinv @ np.array(y, dtype=object)
-    assert (A @ x == np.array([int(v) for v in b], dtype=object)).all()
+    crosscheck((A @ x == np.array([int(v) for v in b], dtype=object)).all(),
+               "integer solution does not solve the system")
     return [int(v) for v in x]
 
 

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     StructuralError,
+    crosscheck,
 )
 from .groups import FgAbelianGroup, GroupElement, GroupHom
 from . import linalg
@@ -196,7 +197,8 @@ def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
 
     closed = list(closed_sets(len(gens), closure))
     unit_group = Submonoid(N.ambient, tuple(gens[i] for i in closed[0]))
-    assert same_submonoid(unit_group, units(N))
+    crosscheck(same_submonoid(unit_group, units(N)),
+               "the least face disagrees with the unit group")
     unit_part = _first_generating_subset(unit_group)
     found = []
     for C in closed:
@@ -249,7 +251,8 @@ def monoid_rank_sharp(N: Submonoid) -> int:
     irreducible = [
         g for g in gens if not any(contains(N, g - h) for h in gens if h != g)
     ]
-    assert is_generating(irreducible, N)
+    crosscheck(is_generating(irreducible, N),
+               "irreducible generators do not generate the monoid")
     return len(irreducible)
 
 
@@ -475,7 +478,7 @@ def sharp_quotient(N: Submonoid) -> SharpQuotient:
 
     projection = GroupHom(M, qgroup, tuple(project(b) for b in M.basis_elements()))
     image = Submonoid(qgroup, tuple(projection.apply(g) for g in N.generators))
-    assert is_sharp(image)
+    crosscheck(is_sharp(image), "sharp quotient image is not sharp")
     return SharpQuotient(qgroup, image, projection, (sm.S, positions, M))
 
 
@@ -546,6 +549,6 @@ def pushout_complement(N: Submonoid, L: Submonoid, Lp: Submonoid,
         if not contains(Submonoid(Lp.ambient, tuple(gens)), x):
             gens.append(x)
     result = PushoutComplement(N, L, Lp, tuple(sorted(gens)), degree_bound)
-    if not is_face(N, Submonoid(Lp.ambient, result.generators)):
-        raise StructuralError("pushout complement lost the face property")
+    crosscheck(is_face(N, Submonoid(Lp.ambient, result.generators)),
+               "pushout complement lost the face property")
     return result

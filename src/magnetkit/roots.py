@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .errors import PreconditionError, ResourceLimitError, StructuralError
+from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
 from .monoids import Submonoid, closed_sets, intersection, is_face
@@ -138,11 +138,9 @@ def levi(datum: ReductiveDatum, zeta) -> SubgroupReport:
         by_span = frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
     else:
         by_span = frozenset()
-    if trace != by_span:
-        raise StructuralError("Levi trace disagrees with the span computation")
+    crosscheck(trace == by_span, "Levi trace disagrees with the span computation")
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
-    if dim != datum.torus_rank + len(trace):
-        raise StructuralError("Levi dimension bookkeeping failed")
+    crosscheck(dim == datum.torus_rank + len(trace), "Levi dimension bookkeeping failed")
     return SubgroupReport(magnet, trace, dim)
 
 
@@ -153,11 +151,10 @@ def parabolic(datum: ReductiveDatum, zeta) -> SubgroupReport:
     sigma = tuple(rs.basis) + tuple(-a for a in zeta)
     magnet = Submonoid(rs.ambient, sigma)
     trace = frozenset(r for r in rs.roots if magnet.contains(r))
-    if trace != set(rs.positives) | levi(datum, zeta).roots:
-        raise StructuralError("parabolic trace is not positives plus Levi roots")
+    crosscheck(trace == set(rs.positives) | levi(datum, zeta).roots,
+               "parabolic trace is not positives plus Levi roots")
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
-    if dim != datum.torus_rank + len(trace):
-        raise StructuralError("parabolic dimension bookkeeping failed")
+    crosscheck(dim == datum.torus_rank + len(trace), "parabolic dimension bookkeeping failed")
     return SubgroupReport(magnet, trace, dim)
 
 
@@ -169,11 +166,9 @@ def root_group(datum: ReductiveDatum, alpha: GroupElement) -> tuple[int, int]:
     N = Submonoid(rs.ambient, (alpha,))
     adj = adjoint_module(datum)
     dim_h = weight_attractor(adj, N).dimension
-    if dim_h != datum.torus_rank + 1:
-        raise StructuralError("root attractor dimension is off")
+    crosscheck(dim_h == datum.torus_rank + 1, "root attractor dimension is off")
     dim_u = prescribed_limit(adj, N, Submonoid.zero(rs.ambient), "unit").dimension
-    if dim_u != 1:
-        raise StructuralError("prescribed-limit root space is not a line")
+    crosscheck(dim_u == 1, "prescribed-limit root space is not a line")
     return (dim_h, dim_u)
 
 
@@ -210,8 +205,7 @@ def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...
         S = frozenset(rs.roots[i] for i in C)
         gen = Submonoid(rs.ambient, tuple(S))
         trace = frozenset(r for r in rs.roots if gen.contains(r))
-        if trace != S:
-            raise StructuralError("closed subset %r is not its own monoid trace" % (S,))
+        crosscheck(trace == S, "closed subset %r is not its own monoid trace", S)
         out.append(S)
     return tuple(sorted(out, key=lambda S: (len(S), sorted(r.coords for r in S))))
 

@@ -144,6 +144,22 @@ def test_coordinate_length_mismatch_is_located(tmp_path):
     assert "monoid/generators/0" in r.output
 
 
+@pytest.mark.parametrize("command, doc, where", [
+    ("cohomology", {"group": {"free_rank": 1}, "weights": [{"degree": [1]}],
+                    "cochain": {"arity": 0.0, "entries": []}}, "cochain/arity"),
+    ("faces", {"group": {"free_rank": 1.0}, "monoid": {"generators": [[1]]}}, "group/free_rank"),
+    ("cohomology", {"group": {"free_rank": 1}, "weights": [{"degree": [1]}],
+                    "command-options": {"trials": 2.0}}, "command-options/trials"),
+    ("faces", {"group": {"free_rank": 1}, "monoid": {"generators": [[1.0]]}},
+     "monoid/generators/0/0"),
+])
+def test_integral_floats_are_schema_errors(tmp_path, command, doc, where):
+    r = run(command, "--input", write(tmp_path, "float.json", doc))
+    assert r.exit_code == 2
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "schema error at %s: " % where in r.output
+
+
 def test_missing_monoid_is_a_schema_error(p1_file):
     r = run("attractor", "--input", p1_file)
     assert r.exit_code == 2
@@ -215,6 +231,105 @@ def test_fuzzed_vector_flags_end_in_an_exit_code(plane_file, flag, text):
         r = run("membership", "--input", plane_file, "--element", text)
     else:
         r = run("membership", "--input", plane_file, "--monoid", text, "--element", "[1,0]")
+    assert r.exit_code in (0, 1, 2, 3)
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert "Traceback" not in r.output
+
+
+small = st.integers(-3, 3)
+names = st.sampled_from(["x", "y", "w0", "w1"])
+
+
+# the blocks each command reads; a document always has them before breaking
+NEEDS = {
+    "attractor": ("monoid", "charts"),
+    "magnets": ("charts",),
+    "faces": ("monoid",),
+    "membership": ("monoid",),
+    "roots": ("rootsystem",),
+    "cohomology": ("weights", "cochain"),
+    "bb": ("monoid", "chart"),
+    "dilatation-check": ("monoid", "chart"),
+}
+
+
+@st.composite
+def problem_docs(draw, needs):
+    """A whole problem document in the schema's grammar with the blocks in
+    needs, broken a third of the time at one drawn place (a value replaced by
+    arbitrary JSON), and a --element vector, mostly of the group's length."""
+    free = draw(st.integers(0, 2))
+    torsion = draw(st.lists(st.integers(2, 3), max_size=1))
+    free_coords = st.lists(small, min_size=free, max_size=free)
+    full = st.lists(small, min_size=free + len(torsion), max_size=free + len(torsion))
+    split = {"torsion": st.lists(small, min_size=len(torsion), max_size=len(torsion))}
+    monoid = st.fixed_dictionaries({"generators": st.lists(full, max_size=3)})
+    var = st.fixed_dictionaries({"name": names, "degree": free_coords}, optional=split)
+    chart = st.fixed_dictionaries(
+        {"vars": st.lists(var, max_size=3)}, optional={"name": names}
+    ) | st.fixed_dictionaries({"monoid_algebra": monoid}, optional={"name": names})
+    weight = st.fixed_dictionaries({"degree": free_coords}, optional={
+        **split, "mult": st.integers(1, 3), "label": names})
+    rational = st.builds("{}/{}".format, small, st.integers(1, 3)) | small.map(str)
+    cochain = st.integers(0, 3).flatmap(lambda arity: st.fixed_dictionaries({
+        "arity": st.just(arity),
+        "entries": st.lists(st.fixed_dictionaries({
+            "args": st.lists(full, min_size=arity, max_size=arity),
+            "value": st.dictionaries(names, rational, max_size=2),
+        }), max_size=3),
+    }))
+    blocks = {
+        "monoid": monoid,
+        "chart": chart,
+        "charts": st.lists(chart, min_size=1, max_size=2),
+        "weights": st.lists(weight, min_size=1, max_size=3),
+        "rootsystem": st.fixed_dictionaries(
+            {"type": st.sampled_from(["A1", "A2", "A3", "A4", "B2", "G2"])}),
+        "face": monoid,
+        "center": st.lists(names, max_size=2),
+        "cochain": cochain,
+        "command-options": st.fixed_dictionaries({}, optional={
+            "bound": st.integers(0, 3), "trials": st.integers(1, 3)}),
+    }
+    doc = draw(st.fixed_dictionaries(
+        {"group": st.just({"free_rank": free, "torsion": torsion}),
+         **{k: blocks.pop(k) for k in needs}},
+        optional=blocks))
+    element = draw(full | st.lists(small, max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        # the whole document comes last, so it is not the likeliest pick
+        path = draw(st.sampled_from(list(_paths(doc))[::-1]))
+        if not path:
+            return draw(json_values), element
+        _at(doc, path[:-1])[path[-1]] = draw(json_values)
+    return doc, element
+
+
+def _paths(node, path=()):
+    yield path
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for k in keys:
+        yield from _paths(node[k], path + (k,))
+
+
+def _at(doc, path):
+    for k in path:
+        doc = doc[k]
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(NEEDS))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), as_json=st.booleans())
+def test_fuzzed_problem_documents_end_in_an_exit_code(tmp_path, command, data, as_json):
+    doc, element = data.draw(problem_docs(NEEDS[command]))
+    args = [command, "--input", write(tmp_path, "fuzz.json", doc)]
+    if command == "membership":
+        args += ["--element", json.dumps(element)]
+    if as_json:
+        args.append("--json")
+    r = run(*args)
     assert r.exit_code in (0, 1, 2, 3)
     assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
     assert "Traceback" not in r.output

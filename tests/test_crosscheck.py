@@ -1,0 +1,76 @@
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import magnetkit
+from magnetkit.errors import StructuralError, crosscheck
+
+SRC = pathlib.Path(magnetkit.__file__).parent
+
+
+def test_crosscheck_raises_the_formatted_message_only_on_failure():
+    crosscheck(True, "unused %r %r")
+    with pytest.raises(StructuralError, match=r"^closed subset \[1, 2\] is off$"):
+        crosscheck(False, "closed subset %r is off", [1, 2])
+
+
+def test_no_assert_statements_in_the_package():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+# each script breaks one route of a dual-route check and prints what the
+# checked call did; it runs under -O, where a bare assert would be skipped
+FORCED = {
+    "faces": """
+        from magnetkit import monoids
+        from magnetkit.groups import FgAbelianGroup
+        from magnetkit.monoids import Submonoid
+
+        Z = FgAbelianGroup(1)
+        monoids.units = lambda N: Submonoid.zero(N.ambient)
+        call = lambda: monoids.faces(Submonoid.generated_by(Z, [[1], [-1]]))
+    """,
+    "iterated_attractor": """
+        from magnetkit import graded
+        from magnetkit.groups import FgAbelianGroup
+        from magnetkit.monoids import Submonoid
+
+        Z = FgAbelianGroup(1)
+        P = graded.FreePoly(Z, (("x", Z.element([1])), ("y", Z.element([-1]))))
+        graded.intersection = lambda N, L: N
+        call = lambda: graded.iterated_attractor(
+            P, Submonoid.full(Z), Submonoid.generated_by(Z, [[1]]))
+    """,
+}
+
+
+@pytest.mark.parametrize("site", sorted(FORCED))
+def test_forced_disagreement_raises_under_optimize(site):
+    script = textwrap.dedent(FORCED[site]) + textwrap.dedent("""
+        import sys
+        from magnetkit.errors import StructuralError
+        try:
+            call()
+        except StructuralError as e:
+            print("optimize=%d raised: %s" % (sys.flags.optimize, e))
+        else:
+            print("optimize=%d returned" % sys.flags.optimize)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("optimize=1 raised: "), out.stdout
