@@ -84,8 +84,11 @@ def _generated(atlas: EquivariantAtlas, subset: Iterable[GroupElement]) -> Submo
     return Submonoid(atlas.grading_group, tuple(subset))
 
 
-# reused by later calls on one atlas; each table holds up to 2^cap closed sets
-@lru_cache(maxsize=4)
+# a table (up to 2^cap closed sets) is only reused on the atlas just enumerated
+_TABLES_KEPT = 1
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
 def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
     """All closed S (with [S> meeting E exactly in S), with fingerprints."""
     E = degree_support(atlas)

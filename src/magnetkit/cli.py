@@ -10,6 +10,7 @@ floats.
 
 from __future__ import annotations
 
+import decimal
 import json
 import re
 import sys
@@ -50,23 +51,15 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-# JSON Schema counts 1.0 as an integer; the wire format has no floats at all
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda checker, value: type(value) is int),
-)
-
-
 def load_problem(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=decimal.Decimal)  # 1.0 passes "integer", a Decimal does not
     except OSError as e:
         raise SchemaError("cannot read %s: %s" % (path, e.strerror))
     except json.JSONDecodeError as e:
         raise SchemaError("not JSON: %s" % e, location=path)
-    validator = _Validator(_schema())
+    validator = jsonschema.Draft202012Validator(_schema())
     problems = sorted(
         validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
     )
