@@ -3,12 +3,20 @@ the face/unit/quotient calculus on them.
 
 A Submonoid is a presentation: an ambient group plus a canonical generator
 tuple (sorted, deduplicated, zero dropped).  Equality is presentation
-equality; semantic equality is same_submonoid.  Membership is decided exactly
-by the diophantine completion solver, with congruence rows for the torsion
-coordinates, and is cached; contains is the only route to the solver, so
-every question (faces, irreducible generators, pushout complements) is posed
-as membership in some submonoid.  Likewise positive_grading is the only route
-to the positive-covector search.
+equality; semantic equality is same_submonoid.  Membership is exact and
+cached, and contains is the only route to it, so every question (faces,
+irreducible generators, pushout complements) is posed as membership in some
+submonoid.  A generator is a member at once; anything else first gets the
+diophantine completion solver (congruence rows for the torsion coordinates)
+with a budget of FIRST_PASS_NODES nodes, which settles most questions.  One
+that overflows goes through tiers that each answer only where they are
+exact: a lattice test by Smith normal form and a cone test by exact LP
+(magnetkit.lp), whose "no" is final and, for the cone, carries a Farkas
+separator checked by multiplication; a witness from the rounded LP vertex,
+whose "yes" is final; and last the complete solver at its full cap.
+Likewise positive_grading is the only route to the positive-covector search,
+a lazy depth-first search in lex order that keeps O(rank * generators)
+memory.
 
 Monoid-like duck type: anything with .ambient and .contains(element) can be
 used as a magnet by the graded/atlas layers (Submonoid, Intersection,
@@ -18,6 +26,7 @@ PreimageMonoid, PushoutComplement all qualify).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -31,7 +40,7 @@ from .errors import (
     crosscheck,
 )
 from .groups import FgAbelianGroup, GroupElement, GroupHom
-from . import linalg
+from . import linalg, lp
 
 
 @dataclass(frozen=True)
@@ -85,11 +94,80 @@ class Submonoid:
 # (closed root subsets of G2, the A3 adjoint magnets) stay below 7000
 CACHE_SIZE = 2 ** 16
 
+# node budget of the bare solver pass that every membership question gets
+# first; most questions end within it, and only one that overflows it goes
+# on to the tiers of _after_first_pass
+FIRST_PASS_NODES = 100
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
+    if m in N.generators:
+        return True
     moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
-    return has_nonneg_solution([g.coords for g in N.generators], m.coords, moduli)
+    columns = [g.coords for g in N.generators]
+    try:
+        return has_nonneg_solution(columns, m.coords, moduli, max_nodes=FIRST_PASS_NODES)
+    except ResourceLimitError:
+        return _after_first_pass(N, m)
+
+
+def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
+    """Membership of m in N by four tiers, each exact where it answers.
+
+    1. Lattice: m must be an integer combination of the generators and the
+       torsion orders; "no" means no.
+    2. Cone: the free part of m must lie in the rational cone of the free
+       parts; "no" comes with the LP's Farkas separator y, checked by
+       multiplication, and means no.
+    3. LP rounding: floor the LP vertex x and ask the solver whether the
+       residual m - sum floor(x_i) g_i lies in N; "yes" means yes.  A "no"
+       backs every floor off by 1, 2, 4, ..., which moves the residual
+       deeper into the cone, until a residual is a member, the solver caps,
+       or the residual would be m itself.
+    4. The complete solver at its full node cap.
+    """
+    G = N.ambient
+    moduli = (0,) * G.free_rank + G.torsion_orders
+    columns = [g.coords for g in N.generators]
+    if not linalg.in_span(_lattice_matrix(G, columns), m.coords):
+        return False
+    cone = lp.simplex([[g.free[i] for g in N.generators] for i in range(G.free_rank)], m.free)
+    if cone.separator is not None:
+        y = cone.separator
+        crosscheck(all(_dot(y, g.free) >= 0 for g in N.generators) and _dot(y, m.free) < 0,
+                   "cone separator %r does not separate %r from %s", y, m, N.describe())
+        return False
+    floors = [math.floor(v) for v in cone.x]
+    back = 0
+    while any(v > back for v in floors):
+        residual = G.element(
+            c - sum(max(k - back, 0) * g.coords[i] for k, g in zip(floors, N.generators))
+            for i, c in enumerate(m.coords)
+        )
+        try:
+            if has_nonneg_solution(columns, residual.coords, moduli):
+                return True
+        except ResourceLimitError:
+            break
+        back = 2 * back or 1
+    return has_nonneg_solution(columns, m.coords, moduli)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _lattice_matrix(G: FgAbelianGroup, columns):
+    """One column per torsion order of G, then the given columns: their
+    integer span, read in Z^coord_count, is the subgroup the columns
+    generate together with the torsion relations."""
+    q = G.coord_count
+    cols = [tuple(n if i == G.free_rank + j else 0 for i in range(q))
+            for j, n in enumerate(G.torsion_orders)]
+    cols += [tuple(c) for c in columns]
+    return linalg.as_object_matrix([[col[i] for col in cols] for i in range(q)],
+                                   width=len(cols))
 
 
 def contains(N: Submonoid, m: GroupElement) -> bool:
@@ -343,28 +421,79 @@ class GradingMorphism:
 
 def _positive_covector(gens: Sequence[GroupElement], free_rank: int,
                        max_box: int = 64) -> tuple[int, ...]:
-    """Smallest-box integer covector strictly positive on all free parts."""
+    """The integer covector w of least max-norm, and lex-first among those,
+    with w.g >= 1 on every free part; norms above max_box are not searched.
+
+    Box B = 1, 2, ..., max_box is searched depth-first in lex order, so the
+    first box with a covector gives the answer, the one the sorted grid over
+    doubling boxes gave, in O(rank * generators) memory.  Each free part is
+    divided by its content: w.g >= 1 iff w.(g/c) >= 1 for integer w.
+    """
     if not gens:
         return (0,) * free_rank
     if free_rank == 0:
         raise NoCertificateError("no free coordinates to grade by")
-    tested_box = 0
-    box = 1
-    while box <= max_box:
-        candidates = sorted(
-            itertools.product(range(-box, box + 1), repeat=free_rank),
-            key=lambda w: (max(abs(v) for v in w), w),
-        )
-        for w in candidates:
-            if max(abs(v) for v in w) <= tested_box:
-                continue
-            if all(sum(a * b for a, b in zip(w, g.free)) >= 1 for g in gens):
+    contents = [math.gcd(*g.free) for g in gens]
+    if all(contents):
+        parts = sorted({tuple(v // c for v in g.free) for g, c in zip(gens, contents)})
+        for box in range(1, max_box + 1):
+            w = _lex_first_covector(parts, box)
+            if w is not None:
                 return w
-        tested_box = box
-        box *= 2
     raise NoCertificateError(
         "no positive grading covector within coordinate box %d" % max_box
     )
+
+
+def _lex_first_covector(parts: list[tuple[int, ...]], box: int
+                        ) -> Optional[tuple[int, ...]]:
+    """The lex-first w in [-box, box]^r with w.p >= 1 on every part, or None.
+
+    Depth-first over w_1, w_2, ... in increasing order; before each branch
+    the intervals of the coordinates not yet drawn are narrowed to a
+    fixpoint, each part bounding every coordinate by what the others can
+    still add at most, so only dead ends that the bounds cannot see are
+    entered.
+    """
+    r = len(parts[0])
+    w: list[int] = []
+
+    def narrow(lo: list[int], hi: list[int], sums: list[int]) -> bool:
+        i = len(w)
+        changed = True
+        while changed:
+            changed = False
+            for p, s in zip(parts, sums):
+                tops = [max(p[j] * lo[j], p[j] * hi[j]) for j in range(i, r)]
+                total = s + sum(tops)
+                if total < 1:
+                    return False
+                for j, top in zip(range(i, r), tops):
+                    need = 1 - total + top   # p[j] * w_j >= need
+                    if p[j] > 0 and -(-need // p[j]) > lo[j]:
+                        lo[j] = -(-need // p[j])
+                        changed = True
+                    elif p[j] < 0 and need // p[j] < hi[j]:
+                        hi[j] = need // p[j]
+                        changed = True
+                    if lo[j] > hi[j]:
+                        return False
+        return True
+
+    def search(lo: list[int], hi: list[int], sums: list[int]) -> bool:
+        if not narrow(lo, hi, sums):
+            return False
+        i = len(w)
+        if i == r:
+            return True
+        for v in range(lo[i], hi[i] + 1):
+            w.append(v)
+            if search(lo[:], hi[:], [s + v * p[i] for p, s in zip(parts, sums)]):
+                return True
+            w.pop()
+        return False
+
+    return tuple(w) if search([-box] * r, [box] * r, [0] * len(parts)) else None
 
 
 def positive_grading(N: Submonoid) -> GradingMorphism:
@@ -444,18 +573,7 @@ def sharp_quotient(N: Submonoid) -> SharpQuotient:
     """
     M = N.ambient
     q = M.coord_count
-    unit_gens = units(N).generators
-    cols = []
-    for j, order in enumerate(M.torsion_orders):
-        col = [0] * q
-        col[M.free_rank + j] = order
-        cols.append(col)
-    cols += [list(u.coords) for u in unit_gens]
-    if cols:
-        R = linalg.as_object_matrix([[col[i] for col in cols] for i in range(q)])
-    else:
-        R = linalg.as_object_matrix([[] for _ in range(q)], width=0)
-    sm = linalg.smith(R)
+    sm = linalg.smith(_lattice_matrix(M, [u.coords for u in units(N).generators]))
     diag = list(sm.diagonal) + [0] * (q - len(sm.diagonal))
 
     free_positions = [i for i in range(q) if diag[i] == 0]

@@ -191,6 +191,17 @@ def test_membership_answers(plane_file):
     assert json.loads(no.output)["member"] is False
 
 
+def test_membership_past_the_old_node_cap_exits_0(tmp_path):
+    # (32,32,32) = 32 (1,1,1): the bare solver exhausts its 200k-node cap
+    path = write(tmp_path, "z3.json", {
+        "group": {"free_rank": 3},
+        "monoid": {"generators": [[1, 0, 0], [0, 1, 0], [1, 1, 1], [2, -1, 1], [0, 0, 1]]},
+    })
+    r = run("membership", "--input", path, "--element", "[32,32,32]", "--json")
+    assert r.exit_code == 0, r.output
+    assert json.loads(r.output)["member"] is True
+
+
 def test_membership_rejects_bad_element(plane_file):
     r = run("membership", "--input", plane_file, "--element", "[1]")
     assert r.exit_code == 2

@@ -29,6 +29,18 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_floats_in_the_package():
+    # exact arithmetic: no float literal and no use of the name float
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id == "float")
+    ]
+    assert found == []
+
+
 # each script breaks one route of a dual-route check and prints what the
 # checked call did; it runs under -O, where a bare assert would be skipped
 FORCED = {

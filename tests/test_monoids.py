@@ -1,11 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnetkit.diophantine import has_nonneg_solution
-from magnetkit.errors import PreconditionError, StructuralError
+from magnetkit.errors import (
+    NoCertificateError,
+    PreconditionError,
+    ResourceLimitError,
+    StructuralError,
+)
 from magnetkit.groups import FgAbelianGroup, hom_from_matrix
 from magnetkit import monoids
 from magnetkit.monoids import (
@@ -106,6 +112,100 @@ def test_membership_matches_oracle_mixed_torsion(gen_coords, target):
         assert not oracle_member(
             G, [g.coords for g in N.generators], G.element(target).coords, 16
         )
+
+
+def test_generators_are_members_without_the_solver(monkeypatch):
+    N = Submonoid.generated_by(Z2, [[3, -1], [1, 4]])
+    monkeypatch.setattr(monoids, "has_nonneg_solution", None)
+    assert all(contains(N, g) for g in N.generators)
+
+
+def _tier_questions(seed, f, orders, with_units):
+    """A seeded monoid in Z^f x orders and questions with known answers.
+
+    Every generator has an even first coordinate and w.g >= 0 on its free
+    part (w.u = 0 on the unit pair u, -u), so a target with an odd first
+    coordinate is a lattice non-member and one with w.t < 0 a cone
+    non-member; members are built from a witness.  Small targets get the
+    bare solver's answer.  In Z a unit pair leaves no proper cone, w = 0.
+    """
+    rng = random.Random(seed)
+    G = FgAbelianGroup(f, orders)
+
+    def vector(lo, hi):
+        v = [rng.randint(lo, hi) for _ in range(f)] + [rng.randrange(n) for n in orders]
+        v[0] *= 2
+        return v
+
+    def combine(coeffs, vectors):
+        return [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(G.coord_count)]
+
+    w = [rng.choice([-2, -1, 1, 2]) for _ in range(f)]
+    if with_units and f == 1 and not orders:
+        w = [0]
+    weight = lambda v: sum(a * b for a, b in zip(w, v))
+    gens = []
+    while len(gens) < 3:
+        v = vector(-3, 3)
+        if weight(v) > 0 or not any(w):
+            gens.append(v)
+    if with_units:
+        u = vector(-3, 3)
+        if f > 1:
+            u[:2] = [2 * w[1], -2 * w[0]]
+        elif orders:
+            u[0] = 0
+            u[1] = 1 + rng.randrange(orders[0] - 1)
+        u[2:f] = [0] * (f - 2)
+        gens += [u, [-c for c in u]]
+    moduli = (0,) * f + G.torsion_orders
+    questions = []
+    for _ in range(4):
+        target = combine([rng.randint(0, 12) for _ in gens], gens)
+        questions.append((target, True))
+        odd = list(target)
+        odd[0] += 1
+        questions.append((odd, False))
+        if any(w):
+            t = vector(-30, 30)
+            while weight(t) >= 0:
+                t = vector(-30, 30)
+            questions.append((t, False))
+        t = vector(-2, 2)
+        questions.append((t, has_nonneg_solution(gens, t, moduli)))
+    return Submonoid.generated_by(G, gens), [(G.element(t), a) for t, a in questions]
+
+
+@pytest.mark.parametrize("with_units", [False, True], ids=["sharp", "units"])
+@pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_tiers_agree_with_certified_answers(f, orders, with_units):
+    for seed in range(3):
+        N, questions = _tier_questions(repr((f, orders, with_units, seed)), f, orders,
+                                       with_units)
+        for m, want in questions:
+            assert monoids._after_first_pass(N, m) is want, (N.describe(), m)
+
+
+def test_witness_case_past_the_old_node_cap():
+    G = FgAbelianGroup(3)
+    N = Submonoid.generated_by(G, [[1, 0, 0], [0, 1, 0], [1, 1, 1], [2, -1, 1], [0, 0, 1]])
+    columns = [g.coords for g in N.generators]
+    with pytest.raises(ResourceLimitError):
+        has_nonneg_solution(columns, (32, 32, 32), max_nodes=monoids.FIRST_PASS_NODES)
+    assert contains(N, G.element([32, 32, 32]))
+
+
+def test_cone_tier_no_is_crosschecked(monkeypatch):
+    G = FgAbelianGroup(2)
+    N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
+    m = G.element([-30, 1])
+    assert monoids._after_first_pass(N, m) is False
+    # (0, 1) is >= 0 on both generators but also on m, so it separates nothing
+    wrong = monoids.lp.LPResult(monoids.lp.INFEASIBLE, None, (0, 1))
+    monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: wrong)
+    with pytest.raises(StructuralError, match="cone separator"):
+        monoids._after_first_pass(N, m)
 
 
 def test_cross_ambient_membership_rejected():
@@ -429,6 +529,91 @@ def test_grading_positive_on_all_members():
     h = positive_grading(N)
     for g in N.generators:
         assert h.degree(g) >= 1
+
+
+def _box_grid_covector(gens, free_rank, max_box=64):
+    """The covector search as a sorted grid over doubling boxes, the
+    reference for the lazy search."""
+    tested_box = 0
+    box = 1
+    while box <= max_box:
+        candidates = sorted(
+            itertools.product(range(-box, box + 1), repeat=free_rank),
+            key=lambda w: (max(abs(v) for v in w), w),
+        )
+        for w in candidates:
+            if max(abs(v) for v in w) <= tested_box:
+                continue
+            if all(sum(a * b for a, b in zip(w, g.free)) >= 1 for g in gens):
+                return w
+        tested_box = box
+        box *= 2
+    raise NoCertificateError("no positive grading covector within coordinate box %d" % max_box)
+
+
+def _chain(rank, k, scale):
+    """e_i - k e_{i+1} for i < rank, and e_rank, all times scale."""
+    G = FgAbelianGroup(rank)
+    gens = []
+    for i in range(rank):
+        v = [0] * rank
+        v[i] = scale
+        if i + 1 < rank:
+            v[i + 1] = -k * scale
+        gens.append(G.element(v))
+    return gens
+
+
+def test_covector_matches_the_box_grid_on_seeded_sharp_monoids():
+    rng = random.Random(11)
+    answers = set()
+    for _ in range(240):
+        r = rng.randint(1, 3)
+        orders = rng.choice([(), (2,), (3,)])
+        G = FgAbelianGroup(r, orders)
+        w = [0] * r
+        while not any(w):
+            w = [rng.randint(-6, 6) for _ in range(r)]
+        weight = lambda g: sum(a * b for a, b in zip(w, g))
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            # the least positive of a few draws, so that some generators lie
+            # close to the hyperplane of w and the covector grows
+            g = []
+            while not g:
+                draws = [[rng.randint(-6, 6) for _ in range(r)] for _ in range(6)]
+                g = min((d for d in draws if weight(d) >= 1), key=weight, default=[])
+            gens.append(G.element(g + [rng.randrange(n) for n in orders]))
+        got = monoids._positive_covector(gens, r)
+        assert got == _box_grid_covector(gens, r), [g.coords for g in gens]
+        answers.add(max(abs(v) for v in got))
+    assert answers >= {1, 2, 3, 4}
+
+
+# rank 4 with k = 2 sorts 33^4 grid points in the reference; its answer,
+# (15, 7, 3, 1), is checked on its own below
+@pytest.mark.parametrize("rank,k", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+def test_covector_matches_the_box_grid_on_chains(rank, k):
+    gens = _chain(rank, k, 317)
+    assert monoids._positive_covector(gens, rank) == _box_grid_covector(gens, rank)
+
+
+def test_rank_four_chain_covector_in_small_memory():
+    gens = _chain(4, 2, 317)
+    tracemalloc.start()
+    try:
+        w = monoids._positive_covector(gens, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == (15, 7, 3, 1)
+    assert peak < 5 * 2 ** 20
+
+
+def test_covector_outside_the_box_is_refused():
+    gens = [Z2.element([1, -64]), Z2.element([0, 1])]
+    with pytest.raises(NoCertificateError, match="coordinate box 64"):
+        positive_grading(Submonoid(Z2, tuple(gens)))
 
 
 def test_grading_morphism_validates_positivity():
