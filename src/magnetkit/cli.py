@@ -53,11 +53,13 @@ def _schema() -> dict:
 
 def load_problem(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=decimal.Decimal)  # 1.0 passes "integer", a Decimal does not
     except OSError as e:
         raise SchemaError("cannot read %s: %s" % (path, e.strerror))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, bytes that are not UTF-8, an integer past the
+        # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
     validator = jsonschema.Draft202012Validator(_schema())
     problems = sorted(
@@ -146,7 +148,7 @@ def _flag_vectors(text: str, flag: str, length: int, shape: str,
     loc = "--" + flag
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise SchemaError("%s is not JSON: %s" % (loc, e), location=loc)
     vectors = value if nested else [value]
     if not isinstance(vectors, list) or not all(isinstance(v, list) for v in vectors):
@@ -338,7 +340,7 @@ def cmd_attractor(path, monoid_json, as_json):
 @input_opt
 @json_opt
 @click.option("--dot", "dot_path", default=None, type=click.Path(), help="write Hasse diagram")
-@click.option("--bound", default=None, type=int, help="degree-support cap")
+@click.option("--bound", default=None, type=click.IntRange(min=0), help="degree-support cap")
 @guarded
 def cmd_magnets(path, as_json, dot_path, bound):
     """Enumerate all pure magnets of the action described by the file."""
@@ -569,7 +571,7 @@ def _cochain_from_doc(doc, group, module) -> Cochain:
 
 @main.command("cohomology")
 @input_opt
-@click.option("--trials", default=None, type=int, help="randomized vanishing trials")
+@click.option("--trials", default=None, type=click.IntRange(min=1), help="randomized vanishing trials")
 @json_opt
 @guarded
 def cmd_cohomology(path, trials, as_json):
@@ -609,7 +611,7 @@ def cmd_cohomology(path, trials, as_json):
 @main.command("bb")
 @input_opt
 @monoid_opt
-@click.option("--bound", default=None, type=int, help="hilbert check bound")
+@click.option("--bound", default=None, type=click.IntRange(min=0), help="hilbert check bound")
 @json_opt
 @guarded
 def cmd_bb(path, monoid_json, bound, as_json):

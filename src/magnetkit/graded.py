@@ -302,7 +302,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
         members = tuple(sorted(bounded_members(N0, probe_bound)))
         # group algebras are reduced; a finite group is fully enumerated
         # once the word-length BFS stabilizes below the probe bound
-        return SupportReport(members, finite if finite else False, None, False)
+        return SupportReport(members, finite, None, False)
 
     h = positive_grading(N0).degree
     maxh = max(h(g) for g in N0.generators)

@@ -1,10 +1,11 @@
-"""Exact integer matrix utilities on numpy object arrays.
+"""Exact integer matrices as lists of int rows.
 
-Everything here is exact: entries are Python ints held in dtype=object arrays,
-so nothing ever silently overflows or rounds.  The main entry point is
-smith(A), returning S, D, T with
+Everything here is exact: entries are Python ints, so nothing ever silently
+overflows or rounds.  A matrix is a sequence of rows; one with q rows and no
+columns is q empty rows.  The main entry point is smith(A), returning S, D, T
+with
 
-    A == S @ D @ T,   S and T unimodular (inverses returned alongside),
+    A == S D T,   S and T unimodular (inverses returned alongside),
     D diagonal with d_1 | d_2 | ... | d_r >= 1 followed by zeros.
 
 Conventions match the column-span view: columns of A span a subgroup of Z^m.
@@ -14,29 +15,36 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import crosscheck
 
-
-def as_object_matrix(rows: Sequence[Sequence[int]], width: Optional[int] = None) -> np.ndarray:
-    """Build an (m, n) object array from nested ints; width disambiguates m x 0."""
-    m = len(rows)
-    n = len(rows[0]) if m else (width or 0)
-    out = np.empty((m, n), dtype=object)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("ragged rows")
-        for j, v in enumerate(row):
-            out[i, j] = int(v)
-    return out
+Matrix = list[list[int]]
 
 
-def identity_obj(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def dot(u: Sequence, v: Sequence):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _mul(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
+    cols = list(zip(*B))
+    return [[dot(row, col) for col in cols] for row in A]
+
+
+def _identity(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _left(X: Matrix, i: int, j: int, M: tuple[int, int, int, int]):
+    """Rows i, j of X become [[a, b], [c, d]] times them, for M = (a, b, c, d)."""
+    a, b, c, d = M
+    X[i], X[j] = ([a * x + b * y for x, y in zip(X[i], X[j])],
+                  [c * x + d * y for x, y in zip(X[i], X[j])])
+
+
+def _right(X: Matrix, i: int, j: int, M: tuple[int, int, int, int]):
+    """Columns i, j of X become them times [[a, b], [c, d]], for M = (a, b, c, d)."""
+    a, b, c, d = M
+    for row in X:
+        row[i], row[j] = a * row[i] + c * row[j], b * row[i] + d * row[j]
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -62,141 +70,107 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class SmithDecomposition(NamedTuple):
-    S: np.ndarray
-    D: np.ndarray
-    T: np.ndarray
-    Sinv: np.ndarray
-    Tinv: np.ndarray
+    S: Matrix
+    D: Matrix
+    T: Matrix
+    Sinv: Matrix
+    Tinv: Matrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        m, n = self.D.shape
-        return tuple(int(self.D[i, i]) for i in range(min(m, n)))
+        return tuple(self.D[i][i] for i in range(min(len(self.S), len(self.T))))
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith(A: np.ndarray) -> SmithDecomposition:
+def smith(A: Sequence[Sequence[int]]) -> SmithDecomposition:
     """Smith normal form with unimodular transforms and their inverses."""
-    A = np.array(A, dtype=object)
-    m, n = A.shape
-    D = A.copy()
-    S, Sinv = identity_obj(m), identity_obj(m)
-    T, Tinv = identity_obj(n), identity_obj(n)
+    D = [list(row) for row in A]
+    m = len(D)
+    n = len(D[0]) if D else 0
+    S, Sinv = _identity(m), _identity(m)
+    T, Tinv = _identity(n), _identity(n)
 
-    def row_block(i, j, M, Minv):
-        D[[i, j], :] = M @ D[[i, j], :]
-        Sinv[[i, j], :] = M @ Sinv[[i, j], :]
-        S[:, [i, j]] = S[:, [i, j]] @ Minv
+    def row_op(i, j, M, Minv):
+        _left(D, i, j, M)
+        _left(Sinv, i, j, M)
+        _right(S, i, j, Minv)
 
-    def col_block(i, j, N, Ninv):
-        D[:, [i, j]] = D[:, [i, j]] @ N
-        Tinv[:, [i, j]] = Tinv[:, [i, j]] @ N
-        T[[i, j], :] = Ninv @ T[[i, j], :]
-
-    def row_swap(i, j):
-        D[[i, j], :] = D[[j, i], :]
-        Sinv[[i, j], :] = Sinv[[j, i], :]
-        S[:, [i, j]] = S[:, [j, i]]
-
-    def col_swap(i, j):
-        D[:, [i, j]] = D[:, [j, i]]
-        Tinv[:, [i, j]] = Tinv[:, [j, i]]
-        T[[i, j], :] = T[[j, i], :]
-
-    def row_negate(i):
-        D[i, :] = -D[i, :]
-        Sinv[i, :] = -Sinv[i, :]
-        S[:, i] = -S[:, i]
+    def col_op(i, j, N, Ninv):
+        _right(D, i, j, N)
+        _right(Tinv, i, j, N)
+        _left(T, i, j, Ninv)
 
     def kill_below(k):
         for i in range(k + 1, m):
-            if D[i, k] != 0:
-                a, b = int(D[k, k]), int(D[i, k])
+            if D[i][k] != 0:
+                a, b = D[k][k], D[i][k]
                 g, u, v = _exgcd(a, b)
-                M = np.array([[u, v], [-b // g, a // g]], dtype=object)
-                Minv = np.array([[a // g, -v], [b // g, u]], dtype=object)
-                row_block(k, i, M, Minv)
+                row_op(k, i, (u, v, -b // g, a // g), (a // g, -v, b // g, u))
 
     def kill_right(k):
         for j in range(k + 1, n):
-            if D[k, j] != 0:
-                a, b = int(D[k, k]), int(D[k, j])
+            if D[k][j] != 0:
+                a, b = D[k][k], D[k][j]
                 g, u, v = _exgcd(a, b)
-                N = np.array([[u, -b // g], [v, a // g]], dtype=object)
-                Ninv = np.array([[a // g, b // g], [-v, u]], dtype=object)
-                col_block(k, j, N, Ninv)
+                col_op(k, j, (u, -b // g, v, a // g), (a // g, b // g, -v, u))
 
+    swap = (0, 1, 1, 0)
     for k in range(min(m, n)):
-        # pivot search
-        pivot = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if D[i, j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
+        # first nonzero entry of the trailing block, row by row
+        pivot = next(((i, j) for i in range(k, m) for j in range(k, n) if D[i][j] != 0), None)
         if pivot is None:
             break
         if pivot[0] != k:
-            row_swap(k, pivot[0])
+            row_op(k, pivot[0], swap, swap)
         if pivot[1] != k:
-            col_swap(k, pivot[1])
+            col_op(k, pivot[1], swap, swap)
 
         while True:
             kill_below(k)
             kill_right(k)
-            if all(D[i, k] == 0 for i in range(k + 1, m)) and all(
-                D[k, j] == 0 for j in range(k + 1, n)
+            if all(D[i][k] == 0 for i in range(k + 1, m)) and all(
+                D[k][j] == 0 for j in range(k + 1, n)
             ):
                 # pivot must divide the trailing block for the divisibility chain
-                bad = None
-                for i in range(k + 1, m):
-                    for j in range(k + 1, n):
-                        if D[i, j] % D[k, k] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next((i for i in range(k + 1, m) for j in range(k + 1, n)
+                            if D[i][j] % D[k][k] != 0), None)
                 if bad is None:
                     break
                 # fold the offending row into row k and restart the clearing
-                D[k, :] = D[k, :] + D[bad, :]
-                Sinv[k, :] = Sinv[k, :] + Sinv[bad, :]
-                S[:, bad] = S[:, bad] - S[:, k]
-        if D[k, k] < 0:
-            row_negate(k)
+                row_op(k, bad, (1, 1, 0, 1), (1, -1, 0, 1))
+        if D[k][k] < 0:
+            D[k] = [-x for x in D[k]]
+            Sinv[k] = [-x for x in Sinv[k]]
+            for row in S:
+                row[k] = -row[k]
 
-    crosscheck((S @ D @ T == A).all(), "Smith decomposition does not reproduce the matrix")
+    crosscheck(_mul(_mul(S, D), T) == [list(row) for row in A],
+               "Smith decomposition does not reproduce the matrix")
     return SmithDecomposition(S, D, T, Sinv, Tinv)
 
 
-def solve(A: np.ndarray, b: Sequence[int]) -> Optional[list[int]]:
+def solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
     """One integer solution x of A x = b, or None if none exists."""
-    A = np.array(A, dtype=object)
-    m, n = A.shape
     sm = smith(A)
-    c = sm.Sinv @ np.array([int(v) for v in b], dtype=object)
-    y = [0] * n
+    y = [0] * len(sm.T)
     diag = sm.diagonal
-    for i in range(m):
+    for i, c in enumerate(dot(row, b) for row in sm.Sinv):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
-            if c[i] != 0:
+            if c != 0:
                 return None
         else:
-            if c[i] % d != 0:
+            if c % d != 0:
                 return None
-            if i < n:
-                y[i] = c[i] // d
-    x = sm.Tinv @ np.array(y, dtype=object)
-    crosscheck((A @ x == np.array([int(v) for v in b], dtype=object)).all(),
+            y[i] = c // d
+    x = [dot(row, y) for row in sm.Tinv]
+    crosscheck([dot(row, x) for row in A] == list(b),
                "integer solution does not solve the system")
-    return [int(v) for v in x]
+    return x
 
 
-def in_span(columns: np.ndarray, target: Sequence[int]) -> bool:
+def in_span(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     return solve(columns, target) is not None

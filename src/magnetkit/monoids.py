@@ -99,6 +99,9 @@ CACHE_SIZE = 2 ** 16
 # on to the tiers of _after_first_pass
 FIRST_PASS_NODES = 100
 
+# largest max-norm searched for a positive grading covector
+COVECTOR_BOX = 64
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
@@ -135,7 +138,8 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
     cone = lp.simplex([[g.free[i] for g in N.generators] for i in range(G.free_rank)], m.free)
     if cone.separator is not None:
         y = cone.separator
-        crosscheck(all(_dot(y, g.free) >= 0 for g in N.generators) and _dot(y, m.free) < 0,
+        crosscheck(all(linalg.dot(y, g.free) >= 0 for g in N.generators)
+                   and linalg.dot(y, m.free) < 0,
                    "cone separator %r does not separate %r from %s", y, m, N.describe())
         return False
     floors = [math.floor(v) for v in cone.x]
@@ -154,10 +158,6 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
     return has_nonneg_solution(columns, m.coords, moduli)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _lattice_matrix(G: FgAbelianGroup, columns):
     """One column per torsion order of G, then the given columns: their
     integer span, read in Z^coord_count, is the subgroup the columns
@@ -166,8 +166,7 @@ def _lattice_matrix(G: FgAbelianGroup, columns):
     cols = [tuple(n if i == G.free_rank + j else 0 for i in range(q))
             for j, n in enumerate(G.torsion_orders)]
     cols += [tuple(c) for c in columns]
-    return linalg.as_object_matrix([[col[i] for col in cols] for i in range(q)],
-                                   width=len(cols))
+    return [[col[i] for col in cols] for i in range(q)]
 
 
 def contains(N: Submonoid, m: GroupElement) -> bool:
@@ -419,12 +418,11 @@ class GradingMorphism:
         return {g: self.degree(g) for g in self.monoid.generators}
 
 
-def _positive_covector(gens: Sequence[GroupElement], free_rank: int,
-                       max_box: int = 64) -> tuple[int, ...]:
+def _positive_covector(gens: Sequence[GroupElement], free_rank: int) -> tuple[int, ...]:
     """The integer covector w of least max-norm, and lex-first among those,
-    with w.g >= 1 on every free part; norms above max_box are not searched.
+    with w.g >= 1 on every free part; norms above COVECTOR_BOX are not searched.
 
-    Box B = 1, 2, ..., max_box is searched depth-first in lex order, so the
+    Box B = 1, 2, ..., COVECTOR_BOX is searched depth-first in lex order, so the
     first box with a covector gives the answer, the one the sorted grid over
     doubling boxes gave, in O(rank * generators) memory.  Each free part is
     divided by its content: w.g >= 1 iff w.(g/c) >= 1 for integer w.
@@ -436,12 +434,12 @@ def _positive_covector(gens: Sequence[GroupElement], free_rank: int,
     contents = [math.gcd(*g.free) for g in gens]
     if all(contents):
         parts = sorted({tuple(v // c for v in g.free) for g, c in zip(gens, contents)})
-        for box in range(1, max_box + 1):
+        for box in range(1, COVECTOR_BOX + 1):
             w = _lex_first_covector(parts, box)
             if w is not None:
                 return w
     raise NoCertificateError(
-        "no positive grading covector within coordinate box %d" % max_box
+        "no positive grading covector within coordinate box %d" % COVECTOR_BOX
     )
 
 
@@ -510,8 +508,7 @@ def positive_grading(N: Submonoid) -> GradingMorphism:
 
 
 def bounded_members(N: Submonoid, bound: int,
-                    degree: Optional[Callable[[GroupElement], int]] = None,
-                    max_nodes: int = DEFAULT_MAX_NODES) -> set[GroupElement]:
+                    degree: Optional[Callable[[GroupElement], int]] = None) -> set[GroupElement]:
     """All members of degree <= bound (sharp N; exact slice).
 
     With degree None the slice is by combination length instead, which is only
@@ -530,8 +527,9 @@ def bounded_members(N: Submonoid, bound: int,
                     continue
                 new.add(y)
         seen |= new
-        if len(seen) > max_nodes:
-            raise ResourceLimitError("member enumeration exceeded %d nodes" % max_nodes)
+        if len(seen) > DEFAULT_MAX_NODES:
+            raise ResourceLimitError(
+                "member enumeration exceeded %d nodes" % DEFAULT_MAX_NODES)
         frontier = new
         if not frontier:
             break
@@ -561,8 +559,7 @@ class SharpQuotient:
         y = [0] * q
         for coord, pos in zip(mbar.coords, positions):
             y[pos] = coord
-        x = S @ linalg.as_object_matrix([[v] for v in y])
-        return source.element(int(x[i, 0]) for i in range(q))
+        return source.element(linalg.dot(row, y) for row in S)
 
 
 def sharp_quotient(N: Submonoid) -> SharpQuotient:
@@ -586,12 +583,12 @@ def sharp_quotient(N: Submonoid) -> SharpQuotient:
     positions = free_positions + torsion_positions
 
     def project(m: GroupElement) -> GroupElement:
-        y = sm.Sinv @ linalg.as_object_matrix([[c] for c in m.coords])
+        y = [linalg.dot(row, m.coords) for row in sm.Sinv]
         coords = []
         for pos in free_positions:
-            coords.append(int(y[pos, 0]))
+            coords.append(y[pos])
         for pos in torsion_positions:
-            coords.append(int(y[pos, 0]) % diag[pos])
+            coords.append(y[pos] % diag[pos])
         return qgroup.element(coords)
 
     projection = GroupHom(M, qgroup, tuple(project(b) for b in M.basis_elements()))

@@ -65,7 +65,7 @@ class ReductiveDatum:
     def __post_init__(self):
         rs = self.rootsystem
         cols = [[r.coords[i] for r in rs.roots] for i in range(rs.lattice_rank)]
-        span_rank = linalg.smith(linalg.as_object_matrix(cols)).rank
+        span_rank = linalg.smith(cols).rank
         if self.torus_rank < span_rank:
             raise StructuralError("torus rank below the rank of the root span")
 
@@ -131,13 +131,8 @@ def levi(datum: ReductiveDatum, zeta) -> SubgroupReport:
     magnet = Submonoid(rs.ambient, theta)
     trace = frozenset(r for r in rs.roots if magnet.contains(r))
     # theta generates a group, so the trace must match the integer span of zeta
-    if zeta:
-        cols = linalg.as_object_matrix(
-            [[a.coords[i] for a in zeta] for i in range(rs.lattice_rank)]
-        )
-        by_span = frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
-    else:
-        by_span = frozenset()
+    cols = [[a.coords[i] for a in zeta] for i in range(rs.lattice_rank)]
+    by_span = frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
     crosscheck(trace == by_span, "Levi trace disagrees with the span computation")
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
     crosscheck(dim == datum.torus_rank + len(trace), "Levi dimension bookkeeping failed")

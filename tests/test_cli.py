@@ -170,6 +170,33 @@ def test_broken_monoid_flag(p1_file):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{",  # not UTF-8
+    b"[" * 100000,  # nested past the recursion limit
+    b'{"group": {"free_rank": ' + b"9" * 5000 + b"}}",  # past the integer digit limit
+], ids=["not-utf8", "deep", "long-int"])
+def test_unreadable_problem_files_are_schema_errors(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    r = run("faces", "--input", str(path))
+    assert r.exit_code == 2, repr(r.exception)
+    assert isinstance(r.exception, SystemExit)
+    assert "schema error at %s: not JSON" % path in r.output
+    assert "Traceback" not in r.output
+
+
+def test_problem_files_are_read_as_utf8(tmp_path):
+    # JSON is UTF-8 whatever the locale's preferred encoding
+    path = tmp_path / "named.json"
+    path.write_bytes(json.dumps({
+        "group": {"free_rank": 1},
+        "charts": [{"name": "\u00dc0", "vars": [{"name": "x", "degree": [1]}]}],
+    }, ensure_ascii=False).encode("utf-8"))
+    r = run("attractor", "--input", str(path), "--monoid", "[[1]]")
+    assert r.exit_code == 0
+    assert "\u00dc0: keeps x" in r.output
+
+
 def test_faces_of_the_quadrant(plane_file):
     r = run("faces", "--input", plane_file, "--json")
     assert r.exit_code == 0
@@ -212,6 +239,10 @@ def test_membership_rejects_bad_element(plane_file):
     ("--root", ("roots", "--type", "A2", "--root", '["a","b","c"]')),
     ("--element", ("membership", "--element", "[true,0]")),
     ("--monoid", ("membership", "--monoid", "[[true,0]]", "--element", "[1,0]")),
+    # nested past the recursion limit, and integers past the digit limit
+    ("--element", ("membership", "--element", "[" * 5000)),
+    ("--element", ("membership", "--element", "[%s, 0]" % ("9" * 5000))),
+    ("--monoid", ("membership", "--monoid", "[[%s, 0]]" % ("9" * 5000), "--element", "[1,0]")),
 ])
 def test_flag_vectors_must_hold_integers(plane_file, flag, args):
     if args[0] == "membership":
@@ -508,6 +539,18 @@ def test_magnets_on_a_non_sharp_chart_exits_1(tmp_path):
     assert r.stdout == ""
     assert "sharp monoid" in r.stderr
     assert "Traceback" not in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ("cohomology", "--trials", "-5"),
+    ("cohomology", "--trials", "0"),
+    ("magnets", "--bound", "-1"),
+    ("bb", "--bound", "-1"),
+])
+def test_flags_below_their_schema_minimum_are_usage_errors(p1_file, args):
+    r = run(*args[:1], "--input", p1_file, *args[1:])
+    assert r.exit_code == 2
+    assert "Invalid value for '%s'" % args[1] in r.output
 
 
 def test_resource_limit_exit_code(p1_file):

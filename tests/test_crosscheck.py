@@ -41,6 +41,22 @@ def test_no_floats_in_the_package():
     assert found == []
 
 
+def test_imports_are_stdlib_click_jsonschema_or_the_package():
+    allowed = set(sys.stdlib_module_names) | {"click", "jsonschema", "magnetkit"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one inside the package
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert found == []
+
+
 # each script breaks one route of a dual-route check and prints what the
 # checked call did; it runs under -O, where a bare assert would be skipped
 FORCED = {

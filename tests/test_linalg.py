@@ -1,11 +1,19 @@
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from magnetkit import linalg
 
 
-def obj(rows):
-    return linalg.as_object_matrix(rows)
+def mul(A, B):
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+def apply(A, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in A]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -21,28 +29,27 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 @given(matrices)
 @settings(max_examples=150, deadline=None)
-def test_smith_reconstructs_and_transforms_invert(rows):
-    A = obj(rows)
-    m, n = A.shape
+def test_smith_reconstructs_and_transforms_invert(A):
+    m, n = len(A), len(A[0])
     sm = linalg.smith(A)
-    assert (sm.S @ sm.D @ sm.T == A).all()
-    assert (sm.S @ sm.Sinv == linalg.identity_obj(m)).all()
-    assert (sm.Sinv @ sm.S == linalg.identity_obj(m)).all()
-    assert (sm.T @ sm.Tinv == linalg.identity_obj(n)).all()
-    assert (sm.Tinv @ sm.T == linalg.identity_obj(n)).all()
+    assert mul(mul(sm.S, sm.D), sm.T) == A
+    assert mul(sm.S, sm.Sinv) == identity(m)
+    assert mul(sm.Sinv, sm.S) == identity(m)
+    assert mul(sm.T, sm.Tinv) == identity(n)
+    assert mul(sm.Tinv, sm.T) == identity(n)
 
 
 @given(matrices)
 @settings(max_examples=150, deadline=None)
-def test_smith_diagonal_divisibility_chain(rows):
-    A = obj(rows)
-    m, n = A.shape
+def test_smith_diagonal_divisibility_chain(A):
+    m, n = len(A), len(A[0])
     sm = linalg.smith(A)
+    assert [len(row) for row in sm.D] == [n] * m
     # off-diagonal zero
     for i in range(m):
         for j in range(n):
             if i != j:
-                assert sm.D[i, j] == 0
+                assert sm.D[i][j] == 0
     diag = list(sm.diagonal)
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d != 0]
@@ -57,25 +64,37 @@ def test_smith_diagonal_divisibility_chain(rows):
     st.lists(st.integers(min_value=0, max_value=5), min_size=4, max_size=4),
 )
 @settings(max_examples=100, deadline=None)
-def test_solve_finds_constructed_solutions(rows, x0):
-    A = obj(rows)
-    m, n = A.shape
-    x = np.array(x0[:n], dtype=object)
-    b = A @ x
-    got = linalg.solve(A, list(b))
+def test_solve_finds_constructed_solutions(A, x0):
+    n = len(A[0])
+    b = apply(A, x0[:n])
+    got = linalg.solve(A, b)
     assert got is not None
-    assert (A @ np.array(got, dtype=object) == b).all()
+    assert apply(A, got) == b
 
 
 def test_solve_reports_unsolvable():
-    assert linalg.solve(obj([[2]]), [1]) is None
-    assert linalg.solve(obj([[2, 0], [0, 3]]), [1, 1]) is None
-    assert linalg.solve(obj([[1, 1]]), [5]) is not None
+    assert linalg.solve([[2]], [1]) is None
+    assert linalg.solve([[2, 0], [0, 3]], [1, 1]) is None
+    assert linalg.solve([[1, 1]], [5]) is not None
     # inconsistent overdetermined system
-    assert linalg.solve(obj([[1], [1]]), [0, 1]) is None
+    assert linalg.solve([[1], [1]], [0, 1]) is None
 
 
 def test_in_span_examples():
-    cols = obj([[2, 0], [0, 2]])
+    cols = [[2, 0], [0, 2]]
     assert linalg.in_span(cols, [4, -2])
     assert not linalg.in_span(cols, [1, 0])
+
+
+def test_matrices_without_columns():
+    # q x 0: the span of no columns is {0}; 0 x 0: the trivial group
+    for q in (3, 1, 0):
+        A = [[] for _ in range(q)]
+        sm = linalg.smith(A)
+        assert (sm.S, sm.Sinv) == (identity(q), identity(q))
+        assert sm.D == A and sm.T == sm.Tinv == []
+        assert sm.diagonal == () and sm.rank == 0
+        assert linalg.solve(A, [0] * q) == []
+        if q:
+            assert linalg.solve(A, [0] * (q - 1) + [1]) is None
+            assert not linalg.in_span(A, [5] + [0] * (q - 1))
