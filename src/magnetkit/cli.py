@@ -51,6 +51,9 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+_MESSAGE_CHARS = 200
+
+
 def load_problem(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -68,7 +71,10 @@ def load_problem(path: str) -> dict:
     if problems:
         first = problems[0]
         loc = "/".join(str(p) for p in first.absolute_path) or "(top level)"
-        raise SchemaError(first.message, location=loc)
+        message = first.message  # echoes the offending value, however long
+        if len(message) > _MESSAGE_CHARS:
+            message = message[:_MESSAGE_CHARS] + "…"
+        raise SchemaError(message, location=loc)
     _check_coordinate_lengths(doc)
     return doc
 

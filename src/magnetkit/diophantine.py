@@ -9,10 +9,19 @@ Contejean and Devie: breadth-first over coefficient vectors, extending t by
 e_i only when <A t, A e_i> < 0, pruning anything that strictly dominates an
 already-found minimal solution.  The search is complete, so a False answer is
 a proof of non-membership; hitting the node cap raises instead of guessing.
+
+No dot product is formed per node.  With v = A t, a node carries its scores
+s[i] = <v, col_i> and its squared norm |v|^2 instead of v; expanding column i
+adds row i of the Gram matrix <col_i, col_j> to s and 2 s[i] + <col_i, col_i>
+to the norm, all in exact integers.  By linearity these are the same numbers
+the dot products would give, and v = 0 iff |v|^2 = 0, so every test, and with
+it the frontier order, the seen and minimal sets and the node count, is that
+of the plain search.
 """
 
 from __future__ import annotations
 
+from operator import add, ge, mul
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -62,63 +71,47 @@ def has_nonneg_solution(
     hom = len(work)
     work.append(tuple(-v for v in target))
     q = len(work)
+    gram = [tuple(sum(map(mul, a, b)) for b in work) for a in work]
 
-    def value_plus(v: tuple, i: int) -> tuple:
-        col = work[i]
-        return tuple(a + b for a, b in zip(v, col))
-
-    def dot(v: tuple, i: int) -> int:
-        col = work[i]
-        return sum(a * b for a, b in zip(v, col))
-
-    zero_value = (0,) * m
     minimal: list[tuple] = []
     seen: set[tuple] = set()
-    frontier: list[tuple[tuple, tuple]] = []
+    frontier: list[tuple[tuple, tuple, int]] = []
     for i in range(q):
         x = [0] * q
         x[i] = 1
-        frontier.append((tuple(x), tuple(work[i])))
+        frontier.append((tuple(x), gram[i], gram[i][i]))
     processed = 0
 
     while frontier:
-        next_frontier: list[tuple[tuple, tuple]] = []
-        for x, v in frontier:
+        next_frontier: list[tuple[tuple, tuple, int]] = []
+        for x, s, norm in frontier:
             processed += 1
             if processed > max_nodes:
                 raise ResourceLimitError(
                     "diophantine search exceeded %d nodes" % max_nodes
                 )
-            if v == zero_value:
+            if norm == 0:
                 if x[hom] == 1:
                     return True
                 minimal.append(x)
                 continue
             at_hom_cap = x[hom] == 1
-            for i in range(q):
-                if at_hom_cap and i == hom:
+            for i, si in enumerate(s):
+                if si >= 0 or (at_hom_cap and i == hom):
                     continue
-                if dot(v, i) < 0:
-                    y = list(x)
-                    y[i] += 1
-                    y = tuple(y)
-                    if y in seen:
-                        continue
-                    if any(_strictly_dominates(y, s) for s in minimal):
-                        continue
-                    seen.add(y)
-                    next_frontier.append((y, value_plus(v, i)))
+                y = list(x)
+                y[i] += 1
+                y = tuple(y)
+                if y in seen:
+                    continue
+                if any(_strictly_dominates(y, t) for t in minimal):
+                    continue
+                seen.add(y)
+                g = gram[i]
+                next_frontier.append((y, tuple(map(add, s, g)), norm + 2 * si + g[i]))
         frontier = next_frontier
     return False
 
 
-def _strictly_dominates(y: tuple, s: tuple) -> bool:
-    ge = True
-    strict = False
-    for a, b in zip(y, s):
-        if a < b:
-            ge = False
-            break
-        if a > b:
-            strict = True
-    return ge and strict
+def _strictly_dominates(y: tuple, t: tuple) -> bool:
+    return y != t and all(map(ge, y, t))

@@ -185,6 +185,28 @@ def test_unreadable_problem_files_are_schema_errors(tmp_path, content):
     assert "Traceback" not in r.output
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"group": {"free_rank": "%s"}}' % ("x" * 100000), "group/free_rank"),
+    ('{"group": {"free_rank": 1}, "monoid": {"generators": [%s%s]}}' % ("[" * 900, "]" * 900),
+     "monoid/generators/0/0"),
+], ids=["long-string", "deep-generator"])
+def test_schema_errors_shorten_the_offending_value(tmp_path, text, where):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    r = run("faces", "--input", str(path))
+    assert r.exit_code == 2, repr(r.exception)
+    assert len(r.stderr.encode("utf-8")) < 1024
+    assert r.stderr.startswith("schema error at %s: " % where)
+    assert r.stderr.rstrip("\n").endswith("\u2026")
+
+
+def test_short_schema_errors_are_echoed_whole(tmp_path):
+    path = write(tmp_path, "short.json", {"group": {"free_rank": "two"}})
+    r = run("faces", "--input", path)
+    assert r.exit_code == 2
+    assert r.stderr == "schema error at group/free_rank: 'two' is not of type 'integer'\n"
+
+
 def test_problem_files_are_read_as_utf8(tmp_path):
     # JSON is UTF-8 whatever the locale's preferred encoding
     path = tmp_path / "named.json"

@@ -2,8 +2,12 @@
 
 The oracle enumerates every coefficient vector with a bounded sum, so its
 positive answers are ground truth and its negative answers are ground truth
-up to the bound; the tests combine the two directions accordingly.
+up to the bound; the tests combine the two directions accordingly.  The
+plain dot-product search is kept here as the reference that the solver's
+Gram-score kernel must follow node for node.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,3 +108,74 @@ def test_negative_direction_requires_actual_combination():
 def test_node_cap_raises():
     with pytest.raises(ResourceLimitError):
         has_nonneg_solution([(5, 1), (-4, 1), (1, -2)], (0, 50), max_nodes=5)
+
+
+def reference_search(columns, target, moduli, limit):
+    """The plain completion search: each node carries v = A t and forms one
+    dot product per column.  Returns (answer, nodes processed), or None once
+    more than `limit` nodes would be processed; the node count is the least
+    max_nodes at which the solver answers."""
+    m = len(target)
+    work = [tuple(col) for col in columns]
+    for r, n in enumerate(moduli):
+        if n:
+            work += [tuple(n if k == r else 0 for k in range(m)),
+                     tuple(-n if k == r else 0 for k in range(m))]
+    if all(v == 0 for v in target):
+        return True, 0
+    hom = len(work)
+    work.append(tuple(-v for v in target))
+    q = len(work)
+    minimal, seen = [], set()
+    frontier = [(tuple(int(k == i) for k in range(q)), work[i]) for i in range(q)]
+    processed = 0
+    while frontier:
+        next_frontier = []
+        for x, v in frontier:
+            processed += 1
+            if processed > limit:
+                return None
+            if not any(v):
+                if x[hom] == 1:
+                    return True, processed
+                minimal.append(x)
+                continue
+            for i in range(q):
+                if x[hom] == 1 and i == hom:
+                    continue
+                if sum(a * b for a, b in zip(v, work[i])) < 0:
+                    y = tuple(c + (k == i) for k, c in enumerate(x))
+                    if y in seen or any(
+                        y != t and all(a >= b for a, b in zip(y, t)) for t in minimal
+                    ):
+                        continue
+                    seen.add(y)
+                    next_frontier.append((y, tuple(a + b for a, b in zip(v, work[i]))))
+        frontier = next_frontier
+    return False, processed
+
+
+def test_gram_kernel_walks_the_reference_search_node_for_node():
+    """At the least budget where the reference answers, the solver gives the
+    same answer; one node fewer, it raises.  Answer equality alone would let
+    a kernel that visits other nodes through."""
+    rng = random.Random(20261018)
+    limit = 400
+    answered = {True: 0, False: 0}
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        moduli = tuple(rng.choice((0, 0, 2, 3, 4, 5, 6)) for _ in range(m))
+        cols = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 6))]
+        target = tuple(rng.randint(-6, 6) for _ in range(m))
+        ref = reference_search(cols, target, moduli, limit)
+        if ref is None:
+            with pytest.raises(ResourceLimitError):
+                has_nonneg_solution(cols, target, moduli, max_nodes=limit)
+            continue
+        answer, nodes = ref
+        answered[answer] += 1
+        assert has_nonneg_solution(cols, target, moduli, max_nodes=nodes) is answer
+        if nodes:
+            with pytest.raises(ResourceLimitError, match="exceeded %d nodes" % (nodes - 1)):
+                has_nonneg_solution(cols, target, moduli, max_nodes=nodes - 1)
+    assert answered[True] >= 100 and answered[False] >= 50, answered
