@@ -21,7 +21,7 @@ of the plain search.
 
 from __future__ import annotations
 
-from operator import add, ge, mul
+from operator import add, ge, index, mul
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -40,15 +40,16 @@ def has_nonneg_solution(
     moduli[r] == 0 means row r is an exact equation; moduli[r] == n >= 2 means
     row r only has to match modulo n.
     """
-    target = tuple(int(v) for v in target)
+    try:
+        target = tuple(map(index, target))
+        cols = [tuple(map(index, col)) for col in columns]
+        moduli = (0,) * len(target) if moduli is None else tuple(map(index, moduli))
+    except TypeError:
+        raise ValueError("columns, target and moduli must hold integers") from None
     m = len(target)
-    cols = [tuple(int(v) for v in col) for col in columns]
     for col in cols:
         if len(col) != m:
             raise ValueError("column length does not match target length")
-    if moduli is None:
-        moduli = (0,) * m
-    moduli = tuple(int(v) for v in moduli)
     if len(moduli) != m:
         raise ValueError("one modulus per row required")
 

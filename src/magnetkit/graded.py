@@ -12,7 +12,11 @@ degree outside N.  For a free polynomial ring that is exactly the variables
 with degree outside N (degrees inside N are closed under addition).  For a
 monoid algebra Z[N0] it is the monomial ideal generated by N0 minus N, whose
 membership test peels generators: m is a member iff m escapes N, or m - g is
-a member for some generator g with m - g in N0.
+a member for some generator g with m - g in N0.  A support report decides the
+same ideal on the slice of members of bounded degree, lowest degree first:
+the slice holds every divisor of its members, so the peel reads the decisions
+already made there instead of asking N0, and the scan stops at the first
+degree that certifies a finite support.
 """
 
 from __future__ import annotations
@@ -283,11 +287,20 @@ class SupportReport:
 def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     """Enumerate the surviving degrees of A with a finiteness certificate.
 
-    Sharp case: pick a positive functional h on the monoid and scan degrees
-    upward.  If every member in a window (B - maxh, B] is killed then every
-    member above B - maxh is killed too (peel generators off a representation:
-    some partial sum lands in the window, and ideals absorb), so the support
-    is finite and fully listed.  A finite support with a nonzero member forces
+    Sharp case: pick a positive functional h on the monoid and decide the
+    exact slice of members of degree <= probe_bound one degree at a time.  For
+    g a monoid generator or an explicit killed generator, m - g has degree at
+    most h(m), so it lies in the monoid iff it lies in the slice: a member is
+    killed when m - g is in the slice for an explicit generator g, when m - g
+    is a killed member for a monoid generator g, or when m escapes an avoided
+    magnet.  No membership question goes to the monoid, and the avoided
+    magnets are asked at most once per member.
+
+    After degree B is decided, if every member in the window (B - maxh, B] is
+    killed then every member above B - maxh is killed too (peel generators off
+    a representation: some partial sum lands in the window, and ideals
+    absorb), so the support is finite and fully listed, and members above B
+    are never decided.  A finite support with a nonzero member forces
     nilpotency: the multiples of that member eventually leave the support.
     """
     N0 = A.monoid
@@ -306,23 +319,35 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
 
     h = positive_grading(N0).degree
     maxh = max(h(g) for g in N0.generators)
-    all_members = bounded_members(N0, probe_bound, h)
-    # members built from generators lie in N0: only the ideal test is left
-    survivors = sorted(m for m in all_members if not _ideal_member(A.killed, m))
-    by_degree: dict[int, bool] = {}
-    for m in survivors:
-        by_degree[h(m)] = True
-    for B in range(maxh, probe_bound + 1):
-        if not any(by_degree.get(d) for d in range(B - maxh + 1, B + 1)):
-            members = tuple(m for m in survivors if h(m) <= B)
-            non_reduced = any(not m.is_zero() for m in members)
-            return SupportReport(members, True, B, non_reduced)
+    I = A.killed
+    S = bounded_members(N0, probe_bound, h)
+    levels: dict[int, list[GroupElement]] = {}
+    for m in S:
+        levels.setdefault(h(m), []).append(m)
+    killed: set[GroupElement] = set()
+    survivors: list[GroupElement] = []
+    # the least B whose window (B - maxh, B] holds no survivor found so far
+    free_from = maxh
+    for B in range(probe_bound + 1):
+        for m in levels.get(B, ()):
+            if (any(m - g in S for g in I.generators)
+                    or any(m - g in killed for g in N0.generators)
+                    or any(not a.contains(m) for a in I.avoided)):
+                killed.add(m)
+            else:
+                survivors.append(m)
+                free_from = B + maxh
+        if B >= free_from:
+            members = tuple(sorted(survivors))
+            return SupportReport(members, True, B, any(not m.is_zero() for m in members))
+    # k * h(m) <= probe_bound puts k * m in the slice, so it is decided
     witnessed = any(
-        not m.is_zero() and k * h(m) <= probe_bound and _ideal_member(A.killed, m.scale(k))
+        m.scale(k) in killed
         for m in survivors
-        for k in range(2, probe_bound // max(h(m), 1) + 1)
+        if not m.is_zero()
+        for k in range(2, probe_bound // h(m) + 1)
     )
-    return SupportReport(tuple(survivors), None, None, True if witnessed else None)
+    return SupportReport(tuple(sorted(survivors)), None, None, True if witnessed else None)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ semantic equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import StructuralError
@@ -33,7 +34,16 @@ class FgAbelianGroup:
 
     def element(self, coords: Iterable[int]) -> GroupElement:
         """Build an element from free coordinates followed by torsion residues."""
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(coords)
+        try:
+            coords = tuple(map(index, coords))
+        except TypeError:
+            # int() would truncate 1.5 or parse '12'; refuse all but integers
+            for i, c in enumerate(coords):
+                if not hasattr(type(c), "__index__"):
+                    raise StructuralError(
+                        "coordinate %d must be an integer, got %r" % (i, c)) from None
+            raise
         if len(coords) != self.coord_count:
             raise StructuralError(
                 "expected %d coordinates for %r, got %d"

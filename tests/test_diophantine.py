@@ -105,6 +105,16 @@ def test_negative_direction_requires_actual_combination():
     assert not has_nonneg_solution(cols, (1, 0))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [([[2]], [4.5]), ([[2.0]], [4]), ([[2]], ["4"]), ([[1, 0], [0, 1]], [2, 2], [0, 2.5])],
+    ids=repr,
+)
+def test_non_integral_input_is_refused(args):
+    with pytest.raises(ValueError, match="must hold integers"):
+        has_nonneg_solution(*args)
+
+
 def test_node_cap_raises():
     with pytest.raises(ResourceLimitError):
         has_nonneg_solution([(5, 1), (-4, 1), (1, -2)], (0, 50), max_nodes=5)

@@ -14,7 +14,9 @@ from magnetkit.graded import (
     FreePoly,
     MonoidAlgebra,
     MonoidIdeal,
+    SupportReport,
     WeightModule,
+    _ideal_member,
     attractor,
     face_retraction,
     inclusion_is_closed,
@@ -27,7 +29,14 @@ from magnetkit.graded import (
     support_report,
     weight_attractor,
 )
-from magnetkit.monoids import PreimageMonoid, Submonoid, faces
+from magnetkit.monoids import (
+    PreimageMonoid,
+    Submonoid,
+    bounded_members,
+    faces,
+    is_sharp,
+    positive_grading,
+)
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(2, ())
@@ -123,6 +132,86 @@ def test_support_report_group_algebra():
     assert rep.finite is True
     assert len(rep.members) == 6
     assert rep.non_reduced is False
+
+
+def reference_support_report(A, probe_bound):
+    """The sharp support scan with every member decided by `_ideal_member`,
+    which asks the solver about each divisor, and the windows scanned after
+    the whole slice is decided."""
+    N0 = A.monoid
+    h = positive_grading(N0).degree
+    maxh = max(h(g) for g in N0.generators)
+    survivors = sorted(
+        m for m in bounded_members(N0, probe_bound, h) if not _ideal_member(A.killed, m)
+    )
+    alive = {h(m) for m in survivors}
+    for B in range(maxh, probe_bound + 1):
+        if not alive & set(range(B - maxh + 1, B + 1)):
+            members = tuple(m for m in survivors if h(m) <= B)
+            return SupportReport(members, True, B, any(not m.is_zero() for m in members))
+    witnessed = any(
+        _ideal_member(A.killed, m.scale(k))
+        for m in survivors
+        if not m.is_zero()
+        for k in range(2, probe_bound // h(m) + 1)
+    )
+    return SupportReport(tuple(survivors), None, None, True if witnessed else None)
+
+
+def random_sharp_algebra(rng):
+    """A sharp chart of free rank 1-3, maybe with a Z/2 or Z/3 factor, killed
+    by an explicit generator in 40 % of cases and by 0-2 avoided magnets."""
+    G = FgAbelianGroup(rng.randint(1, 3), rng.choice(((), (2,), (3,))))
+
+    def vec():
+        return [rng.randint(-2, 2) for _ in range(G.coord_count)]
+
+    N0 = Submonoid.zero(G)
+    while not N0.generators or not is_sharp(N0):
+        N0 = Submonoid.generated_by(G, [vec() for _ in range(rng.randint(1, 3))])
+    explicit = ()
+    if rng.random() < 0.4:
+        explicit = (sum(rng.choices(N0.generators, k=rng.randint(1, 2)), G.zero()),)
+    avoided = tuple(
+        Submonoid.generated_by(G, [vec() for _ in range(rng.randint(0, 3))])
+        for _ in range(rng.randint(0, 2))
+    )
+    return MonoidAlgebra(N0, MonoidIdeal(N0, explicit, avoided))
+
+
+def test_support_report_matches_the_per_member_reference():
+    rng = random.Random(10)
+    for _ in range(300):
+        A = random_sharp_algebra(rng)
+        bound = rng.choice((6, 8, 10))
+        assert support_report(A, bound) == reference_support_report(A, bound), (A, bound)
+
+
+class CountingMagnet:
+    """An avoided magnet that records every degree it is asked about."""
+
+    def __init__(self, magnet):
+        self.magnet = magnet
+        self.ambient = magnet.ambient
+        self.asked = []
+
+    def contains(self, m):
+        self.asked.append(m)
+        return self.magnet.contains(m)
+
+
+def test_support_report_decides_no_member_above_the_certificate():
+    N0 = Submonoid.generated_by(Z2, [[1, 1], [1, -1], [1, 0]])
+    magnet = CountingMagnet(Submonoid.generated_by(Z2, [[1, 0]]))
+    rep = support_report(MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,))), probe_bound=16)
+    assert rep.members == (Z2.element([0, 0]), Z2.element([1, 0]))
+    assert rep.certified_degree is not None
+    h = positive_grading(N0).degree
+    members = bounded_members(N0, 16, h)
+    assert magnet.asked
+    assert len(set(magnet.asked)) == len(magnet.asked)
+    for m in magnet.asked:
+        assert m in members and h(m) <= rep.certified_degree
 
 
 def test_monoid_ideal_membership():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -27,6 +29,15 @@ def test_element_reduces_torsion_coordinates():
     assert e.coords == (3, 3)
     assert (-e).coords == (-3, 1)
     assert (e + e).coords == (6, 2)
+
+
+@pytest.mark.parametrize(
+    "coords, bad",
+    [([1.5, 4], 0), ([Fraction(7, 2), 2], 0), (["12", 1], 0), ([1, 2.0], 1)],
+)
+def test_element_refuses_non_integral_coordinates(coords, bad):
+    with pytest.raises(StructuralError, match="coordinate %d must be an integer" % bad):
+        FgAbelianGroup(1, (3,)).element(coords)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
