@@ -227,12 +227,15 @@ def _monoid_json(N: Submonoid) -> dict:
     }
 
 
+# every echo names its stream: click's default-stream cache maps a stream to
+# itself, which keeps it alive, so each in-process run (CliRunner) would
+# leak the stream it captured output in
 def _emit(payload: dict, as_json: bool, lines: list):
     if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2), file=sys.stdout)
     else:
         for line in lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 def guarded(fn):
@@ -242,13 +245,13 @@ def guarded(fn):
             fn(*args, **kwargs)
         except SchemaError as e:
             where = " at %s" % e.location if e.location else ""
-            click.echo("schema error%s: %s" % (where, e), err=True)
+            click.echo("schema error%s: %s" % (where, e), file=sys.stderr)
             sys.exit(2)
         except ResourceLimitError as e:
-            click.echo("resource limit: %s" % e, err=True)
+            click.echo("resource limit: %s" % e, file=sys.stderr)
             sys.exit(3)
         except MagnetError as e:
-            click.echo("error: %s" % e, err=True)
+            click.echo("error: %s" % e, file=sys.stderr)
             sys.exit(1)
 
     return inner
@@ -687,3 +690,7 @@ def cmd_dilatation_check(path, monoid_json, as_json):
     _emit(payload, as_json, lines)
     if not rep.equal:
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

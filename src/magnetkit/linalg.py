@@ -9,6 +9,13 @@ with
     D diagonal with d_1 | d_2 | ... | d_r >= 1 followed by zeros.
 
 Conventions match the column-span view: columns of A span a subgroup of Z^m.
+
+solve(A, b), and in_span through it, runs the same elimination but carries
+only Sinv and Tinv and skips the fold that builds the divisibility chain: a
+diagonal D is enough to read off an integer solution.  Each answer comes
+with a certificate checked by multiplication: a solution x with A x == b,
+or a character (a row of Sinv and its diagonal entry) that vanishes on the
+columns and not on b.
 """
 
 from __future__ import annotations
@@ -85,23 +92,32 @@ class SmithDecomposition(NamedTuple):
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith(A: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Smith normal form with unimodular transforms and their inverses."""
+def _diagonalize(A: Sequence[Sequence[int]], full: bool):
+    """D, Sinv, Tinv, S, T with Sinv A Tinv == D diagonal, by unimodular row
+    and column operations on a copy of A.
+
+    full also carries S and T (None otherwise) and folds rows until every
+    pivot divides the trailing block, which gives the divisibility chain of
+    the Smith form; without it D is diagonal with no chain, enough to
+    solve a system.
+    """
     D = [list(row) for row in A]
     m = len(D)
     n = len(D[0]) if D else 0
-    S, Sinv = _identity(m), _identity(m)
-    T, Tinv = _identity(n), _identity(n)
+    Sinv, Tinv = _identity(m), _identity(n)
+    S, T = (_identity(m), _identity(n)) if full else (None, None)
 
     def row_op(i, j, M, Minv):
         _left(D, i, j, M)
         _left(Sinv, i, j, M)
-        _right(S, i, j, Minv)
+        if S is not None:
+            _right(S, i, j, Minv)
 
     def col_op(i, j, N, Ninv):
         _right(D, i, j, N)
         _right(Tinv, i, j, N)
-        _left(T, i, j, Ninv)
+        if T is not None:
+            _left(T, i, j, Ninv)
 
     def kill_below(k):
         for i in range(k + 1, m):
@@ -131,46 +147,68 @@ def smith(A: Sequence[Sequence[int]]) -> SmithDecomposition:
         while True:
             kill_below(k)
             kill_right(k)
-            if all(D[i][k] == 0 for i in range(k + 1, m)) and all(
-                D[k][j] == 0 for j in range(k + 1, n)
+            if any(D[i][k] != 0 for i in range(k + 1, m)) or any(
+                D[k][j] != 0 for j in range(k + 1, n)
             ):
-                # pivot must divide the trailing block for the divisibility chain
-                bad = next((i for i in range(k + 1, m) for j in range(k + 1, n)
-                            if D[i][j] % D[k][k] != 0), None)
-                if bad is None:
-                    break
-                # fold the offending row into row k and restart the clearing
-                row_op(k, bad, (1, 1, 0, 1), (1, -1, 0, 1))
+                continue
+            if not full:
+                break
+            # pivot must divide the trailing block for the divisibility chain
+            bad = next((i for i in range(k + 1, m) for j in range(k + 1, n)
+                        if D[i][j] % D[k][k] != 0), None)
+            if bad is None:
+                break
+            # fold the offending row into row k and restart the clearing
+            row_op(k, bad, (1, 1, 0, 1), (1, -1, 0, 1))
         if D[k][k] < 0:
             D[k] = [-x for x in D[k]]
             Sinv[k] = [-x for x in Sinv[k]]
-            for row in S:
-                row[k] = -row[k]
+            if S is not None:
+                for row in S:
+                    row[k] = -row[k]
+    return D, Sinv, Tinv, S, T
 
+
+def smith(A: Sequence[Sequence[int]]) -> SmithDecomposition:
+    """Smith normal form with unimodular transforms and their inverses."""
+    D, Sinv, Tinv, S, T = _diagonalize(A, full=True)
     crosscheck(_mul(_mul(S, D), T) == [list(row) for row in A],
                "Smith decomposition does not reproduce the matrix")
     return SmithDecomposition(S, D, T, Sinv, Tinv)
 
 
 def solve(A: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[list[int]]:
-    """One integer solution x of A x = b, or None if none exists."""
-    sm = smith(A)
-    y = [0] * len(sm.T)
-    diag = sm.diagonal
-    for i, c in enumerate(dot(row, b) for row in sm.Sinv):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c != 0:
-                return None
-        else:
-            if c % d != 0:
-                return None
+    """One integer solution x of A x = b, or None if none exists.
+
+    Both answers are certified by multiplication: x by A x == b, and None
+    by a character chi, a row of Sinv with the diagonal entry d beside it
+    (0 past the diagonal), such that chi.A == 0 and chi.b != 0 modulo d
+    (exactly, for d == 0): every integer combination of the columns of A
+    has chi-value 0 modulo d, so b is none of them.
+    """
+    D, Sinv, Tinv, _, _ = _diagonalize(A, full=False)
+    y = [0] * len(Tinv)
+    for i, chi in enumerate(Sinv):
+        c = dot(chi, b)
+        d = D[i][i] if i < len(Tinv) else 0
+        if _mod(c, d):
+            crosscheck(all(_mod(dot(chi, col), d) == 0 for col in zip(*A)),
+                       "character %r mod %d does not vanish on the columns", chi, d)
+            return None
+        if d:
             y[i] = c // d
-    x = [dot(row, y) for row in sm.Tinv]
+    x = [dot(row, y) for row in Tinv]
     crosscheck([dot(row, x) for row in A] == list(b),
                "integer solution does not solve the system")
     return x
 
 
+def _mod(v: int, d: int) -> int:
+    """v modulo d, and v itself for d == 0 (the congruence is equality)."""
+    return v % d if d else v
+
+
 def in_span(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Whether target is an integer combination of the columns of the matrix
+    given by its rows in columns, by solve's certified answer."""
     return solve(columns, target) is not None

@@ -1,13 +1,23 @@
 """Exact linear programming over the rationals.
 
-simplex(A, b, c) minimizes c.x subject to A x = b, x >= 0 in
-fractions.Fraction arithmetic, by the two-phase simplex method with Bland's
-rule (Schrijver, Theory of Linear and Integer Programming, 1986, ch. 11):
-the entering column is the first one with a negative reduced cost and the
-leaving row the first basic variable among the tied ratios, which rules out
-cycling on degenerate pivots.  Phase one starts from one artificial
-variable per row (rows with a negative right-hand side are negated first)
-and minimizes their sum; phase two minimizes c from the vertex it found.
+simplex(A, b, c) minimizes c.x subject to A x = b, x >= 0 by the two-phase
+simplex method with Bland's rule (Schrijver, Theory of Linear and Integer
+Programming, 1986, ch. 11): the entering column is the first one with a
+negative reduced cost and the leaving row the first basic variable among
+the tied ratios, which rules out cycling on degenerate pivots.  Phase one
+starts from one artificial variable per row (rows with a negative
+right-hand side are negated first) and minimizes their sum; phase two
+minimizes c from the vertex it found.
+
+The tableau is kept in integers by Edmonds' exact integer pivoting (J. Res.
+NBS 71B, 1967; the scheme of Avis's lrs): the rational tableau is an
+integer one over a single positive common denominator d, the absolute
+determinant of the current basis in the row-scaled system.  A pivot on the
+entry p replaces every other row by (p * row - row[j] * pivot_row) / d,
+where the division is exact because every entry is a minor, and makes |p|
+the new d.  Ratios and reduced costs are compared by cross-multiplication
+(d > 0), so every choice, and with it the status, the vertex and the
+separator, is the one the same pivoting over fractions.Fraction makes.
 
 Every answer is exact.  A feasible system returns a vertex, a basic
 feasible solution; an infeasible one returns its Farkas separator y, with
@@ -17,6 +27,7 @@ y.A_j >= 0 on every column and y.b < 0, read off the phase-one duals, so a
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -33,9 +44,10 @@ def simplex(A: Sequence[Sequence[int]], b: Sequence[int],
             c: Optional[Sequence[int]] = None) -> LPResult:
     """Minimize c.x over A x = b, x >= 0; c None asks for feasibility only.
 
-    A is given by its rows, one per entry of b.  The status is OPTIMAL (x an
-    optimal vertex, or any vertex when c is None), UNBOUNDED (x the vertex
-    where an improving ray was found) or INFEASIBLE (separator set).
+    A is given by its rows, one per entry of b; entries are ints or
+    Fractions.  The status is OPTIMAL (x an optimal vertex, or any vertex
+    when c is None), UNBOUNDED (x the vertex where an improving ray was
+    found) or INFEASIBLE (separator set).
     """
     m = len(b)
     n = len(A[0]) if m else len(c or ())
@@ -44,20 +56,25 @@ def simplex(A: Sequence[Sequence[int]], b: Sequence[int],
     if c is not None and len(c) != n:
         raise ValueError("one cost per column required")
     signs = [-1 if v < 0 else 1 for v in b]
-    rows = [
-        [Fraction(s * a) for a in row] + [Fraction(int(i == r)) for i in range(m)]
-        + [Fraction(s * v)]
-        for r, (s, row, v) in enumerate(zip(signs, A, b))
-    ]
-    basis = list(range(n, n + m))
+    # row r is scaled by the least common denominator of its entries, which
+    # leaves the rational tableau as it is, so d starts as the product of
+    # those scales (the determinant of the scaled artificial basis)
+    d = math.prod(math.lcm(v.denominator, *(a.denominator for a in row))
+                  for row, v in zip(A, b))
+    tab = _Tableau(
+        [[_scaled(s * a, d) for a in row] + [d * int(i == r) for i in range(m)]
+         + [_scaled(s * v, d)]
+         for r, (s, row, v) in enumerate(zip(signs, A, b))],
+        list(range(n, n + m)), d)
 
     # phase one: minimize the sum of the artificial variables
-    cost = [0] * n + [1] * m
-    _run(rows, basis, cost, n + m)
+    tab.run([0] * n + [1] * m, n + m)
+    rows, basis = tab.rows, tab.basis
     if any(rows[r][-1] for r, j in enumerate(basis) if j >= n):
         # the artificial columns hold B^-1, so y = c_B B^-1 are the duals
         y = [sum(rows[r][n + i] for r, j in enumerate(basis) if j >= n) for i in range(m)]
-        return LPResult(INFEASIBLE, None, tuple(-s * v for s, v in zip(signs, y)))
+        return LPResult(INFEASIBLE, None,
+                        tuple(Fraction(-s * v, tab.d) for s, v in zip(signs, y)))
 
     # drive the artificials, now all at level zero, out of the basis; a row
     # with no original column left to pivot on is redundant and dropped
@@ -68,51 +85,79 @@ def simplex(A: Sequence[Sequence[int]], b: Sequence[int],
         if j is None:
             del rows[r], basis[r]
         else:
-            _pivot(rows, basis, r, j)
+            tab.pivot(r, j)
 
     status = OPTIMAL
-    if c is not None and not _run(rows, basis, list(c) + [0] * m, n):
-        status = UNBOUNDED
+    if c is not None:
+        # a positive scale keeps the sign of every reduced cost
+        lcd = math.lcm(*(v.denominator for v in c))
+        if not tab.run([int(v * lcd) for v in c] + [0] * m, n):
+            status = UNBOUNDED
     x = [Fraction(0)] * n
-    for r, j in enumerate(basis):
-        x[j] = rows[r][-1]
+    for row, j in zip(rows, basis):
+        x[j] = Fraction(row[-1], tab.d)
     return LPResult(status, tuple(x), None)
 
 
-def _run(rows, basis, cost, allowed: int) -> bool:
-    """Pivot by Bland's rule over the columns below allowed until no reduced
-    cost is negative (True) or an improving column has no bound (False)."""
-    while True:
-        in_basis = set(basis)
-        entering = None
-        for j in range(allowed):
-            if j in in_basis:
+def _scaled(v, d: int) -> int:
+    """d * v as an int, for a rational v whose denominator divides d."""
+    return v.numerator * (d // v.denominator)
+
+
+class _Tableau:
+    """An integer tableau over the common denominator d > 0 and its basis:
+    row r is basic variable basis[r], and the rational tableau is rows / d."""
+
+    __slots__ = ("rows", "basis", "d")
+
+    def __init__(self, rows: list[list[int]], basis: list[int], d: int):
+        self.rows, self.basis, self.d = rows, basis, d
+
+    def run(self, cost: Sequence[int], allowed: int) -> bool:
+        """Pivot by Bland's rule over the columns below allowed until no
+        reduced cost is negative (True) or an improving column has no bound
+        (False).  Costs are integers."""
+        rows, basis = self.rows, self.basis
+        while True:
+            d = self.d
+            in_basis = set(basis)
+            priced = [(cost[k], row) for k, row in zip(basis, rows) if cost[k]]
+            entering = None
+            for j in range(allowed):
+                if j in in_basis:
+                    continue
+                # d times the reduced cost cost[j] - c_B (rows / d)[:, j]
+                if cost[j] * d < sum(ck * row[j] for ck, row in priced):
+                    entering = j
+                    break
+            if entering is None:
+                return True
+            leaving = None
+            for r, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    # ratio row[-1] / a against best_v / best_a, both a > 0
+                    if (leaving is None or row[-1] * best_a < best_v * a
+                            or (row[-1] * best_a == best_v * a and basis[r] < basis[leaving])):
+                        leaving, best_v, best_a = r, row[-1], a
+            if leaving is None:
+                return False
+            self.pivot(leaving, entering)
+
+    def pivot(self, r: int, j: int) -> None:
+        rows, d = self.rows, self.d
+        pivot_row = rows[r]
+        p = pivot_row[j]
+        for k, row in enumerate(rows):
+            if k == r:
                 continue
-            reduced = cost[j] - sum(cost[k] * rows[r][j] for r, k in enumerate(basis) if cost[k])
-            if reduced < 0:
-                entering = j
-                break
-        if entering is None:
-            return True
-        leaving = None
-        for r, row in enumerate(rows):
-            a = row[entering]
-            if a > 0:
-                key = (row[-1] / a, basis[r])
-                if leaving is None or key < best:
-                    leaving, best = r, key
-        if leaving is None:
-            return False
-        _pivot(rows, basis, leaving, entering)
-
-
-def _pivot(rows, basis, r: int, j: int) -> None:
-    pivot_row = rows[r]
-    a = pivot_row[j]
-    if a != 1:
-        pivot_row[:] = [v / a for v in pivot_row]
-    for k, row in enumerate(rows):
-        factor = row[j]
-        if k != r and factor:
-            row[:] = [v - factor * p if p else v for v, p in zip(row, pivot_row)]
-    basis[r] = j
+            f = row[j]
+            if f:
+                row[:] = [(p * v - f * q) // d for v, q in zip(row, pivot_row)]
+            elif p != d:
+                row[:] = [p * v // d for v in row]
+        if p < 0:
+            for row in rows:
+                row[:] = [-v for v in row]
+        self.basis[r] = j
+        self.d = abs(p)

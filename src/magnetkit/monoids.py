@@ -10,10 +10,16 @@ submonoid.  A generator is a member at once; anything else first gets the
 diophantine completion solver (congruence rows for the torsion coordinates)
 with a budget of FIRST_PASS_NODES nodes, which settles most questions.  One
 that overflows goes through tiers that each answer only where they are
-exact: a lattice test by Smith normal form and a cone test by exact LP
-(magnetkit.lp), whose "no" is final and, for the cone, carries a Farkas
-separator checked by multiplication; a witness from the rounded LP vertex,
-whose "yes" is final; and last the complete solver at its full cap.
+exact: a lattice test (linalg.in_span, whose "no" carries a character
+checked by multiplication) and a cone test by exact LP (magnetkit.lp),
+whose "no" is final and carries a Farkas separator checked by
+multiplication; a witness from the rounded LP vertex, whose "yes" is final;
+and last the complete solver at its full cap.  A deep question skips the
+first pass: when every witness has length at least L, read off the
+target's coordinates, and the C(L + k, k) combinations of length <= L over
+the k generator and torsion-slack columns exceed FIRST_PASS_NODES, the pass
+cannot reach a witness, and the question goes to the tiers at once.  Every
+route ends in the complete solver, so no answer depends on the route.
 Likewise positive_grading is the only route to the positive-covector search,
 a lazy depth-first search in lex order that keeps O(rank * generators)
 memory.
@@ -95,8 +101,8 @@ class Submonoid:
 CACHE_SIZE = 2 ** 16
 
 # node budget of the bare solver pass that every membership question gets
-# first; most questions end within it, and only one that overflows it goes
-# on to the tiers of _after_first_pass
+# first; most questions end within it, and one that overflows it, or whose
+# witnesses all lie beyond its reach, goes on to the tiers of _after_first_pass
 FIRST_PASS_NODES = 100
 
 # largest max-norm searched for a positive grading covector
@@ -107,19 +113,52 @@ COVECTOR_BOX = 64
 def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
     if m in N.generators:
         return True
-    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
     columns = [g.coords for g in N.generators]
+    # the breadth-first pass covers combinations by length, and there are
+    # C(L + k, k) of length <= L over k columns; past FIRST_PASS_NODES it
+    # cannot reach a witness of length L, so the tiers come first
+    k = len(columns) + 2 * len(N.ambient.torsion_orders)
+    if math.comb(_witness_length_bound(columns, m.free) + k, k) > FIRST_PASS_NODES:
+        return _after_first_pass(N, m)
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
     try:
         return has_nonneg_solution(columns, m.coords, moduli, max_nodes=FIRST_PASS_NODES)
     except ResourceLimitError:
         return _after_first_pass(N, m)
 
 
+def _witness_length_bound(columns, free: Sequence[int]) -> int:
+    """A lower bound on the coefficient sum of every witness of a target
+    with free part free among the generator coordinate tuples columns.
+
+    In a free coordinate i with free[i] > 0 each generator adds at most the
+    largest positive entry of row i, so a witness has at least free[i] over
+    that many summands, rounded up; likewise for free[i] < 0 with the most
+    negative entry.  The bound is the largest of these, and 0 for a
+    sign-separable target, one with a nonzero coordinate that no generator
+    shares the sign of.
+    """
+    bound = 0
+    for t, row in zip(free, zip(*columns)):
+        if t > 0:
+            top = max(row)
+        elif t < 0:
+            t, top = -t, -min(row)
+        else:
+            continue
+        if top <= 0:
+            return 0
+        if t > bound * top:
+            bound = -(-t // top)
+    return bound
+
+
 def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
     """Membership of m in N by four tiers, each exact where it answers.
 
     1. Lattice: m must be an integer combination of the generators and the
-       torsion orders; "no" means no.
+       torsion orders; "no" comes with a character, checked by
+       multiplication in linalg.solve, and means no.
     2. Cone: the free part of m must lie in the rational cone of the free
        parts; "no" comes with the LP's Farkas separator y, checked by
        multiplication, and means no.

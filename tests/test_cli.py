@@ -1,10 +1,19 @@
+import gc
+import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import magnetkit
 from magnetkit.cli import main
+
+SRC = pathlib.Path(magnetkit.__file__).parent.parent
 
 
 def run(*args):
@@ -587,3 +596,61 @@ def test_output_is_byte_deterministic(p1_file, plane_file):
         ("roots", "--type", "B2", "--closed-subsets", "--json"),
     ]:
         assert run(*args).output == run(*args).output
+
+
+def _cli_cases(tmp_path, p1_file, plane_file):
+    """Calls that write to stdout, or to stderr with exit codes 1, 2 and 3."""
+    cylinder = write(tmp_path, "cylinder.json", {
+        "group": {"free_rank": 2},
+        "chart": {"monoid_algebra": {"generators": [[1, 0], [-1, 0], [0, 1]]}},
+    })
+    return [
+        ("magnets", "--input", cylinder),
+        ("magnets", "--input", p1_file),
+        ("membership", "--input", plane_file, "--element", "[2, 3]", "--json"),
+        ("magnets", "--input", p1_file, "--bound", "1"),
+        ("magnets", "--input", p1_file + ".missing"),
+        ("faces", "--input", p1_file),
+    ]
+
+
+def _live_text_streams():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if isinstance(o, io.TextIOWrapper))
+
+
+def test_in_process_runs_leave_no_captured_stream_alive(tmp_path, p1_file, plane_file):
+    cases = _cli_cases(tmp_path, p1_file, plane_file)
+    for args in cases:
+        run(*args)
+    before = _live_text_streams()
+    for _ in range(8):
+        for args in cases:
+            run(*args)
+    assert _live_text_streams() <= before
+
+
+def _module_run(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "magnetkit.cli", *args],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+def test_in_process_output_is_the_process_output(tmp_path, p1_file, plane_file):
+    codes = set()
+    for args in _cli_cases(tmp_path, p1_file, plane_file):
+        r = CliRunner().invoke(main, list(args))
+        out = _module_run(*args)
+        assert (r.exit_code, r.stdout_bytes, r.stderr_bytes) == (
+            out.returncode, out.stdout, out.stderr), args
+        codes.add(r.exit_code)
+    assert codes == {0, 1, 2, 3}
+
+
+def test_module_run_prints_the_usage():
+    out = _module_run("--help")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(b"Usage: ")
+    assert b"membership" in out.stdout

@@ -91,6 +91,19 @@ FORCED = {
         call = lambda: graded.iterated_attractor(
             P, Submonoid.full(Z), Submonoid.generated_by(Z, [[1]]))
     """,
+    "lattice_character": """
+        from magnetkit import linalg
+
+        real = linalg._diagonalize
+
+        def corrupted(A, full):
+            D, Sinv, Tinv, S, T = real(A, full)
+            Sinv[0] = [1, 1]  # odd on the target and on the second column
+            return D, Sinv, Tinv, S, T
+
+        linalg._diagonalize = corrupted
+        call = lambda: linalg.in_span([[2, 0], [0, 3]], [1, 0])
+    """,
 }
 
 

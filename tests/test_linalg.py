@@ -1,6 +1,10 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from magnetkit import linalg
+from magnetkit.errors import StructuralError
 
 
 def mul(A, B):
@@ -98,3 +102,77 @@ def test_matrices_without_columns():
         if q:
             assert linalg.solve(A, [0] * (q - 1) + [1]) is None
             assert not linalg.in_span(A, [5] + [0] * (q - 1))
+
+
+# --- solve against the Smith form ----------------------------------------------
+
+
+def smith_solve(A, b):
+    """The solve that reads the full Smith form, kept as the reference."""
+    sm = linalg.smith(A)
+    y = [0] * len(sm.T)
+    diag = sm.diagonal
+    for i, row in enumerate(sm.Sinv):
+        c = sum(a * v for a, v in zip(row, b))
+        d = diag[i] if i < len(diag) else 0
+        if (c % d if d else c) != 0:
+            return None
+        if d:
+            y[i] = c // d
+    return apply(sm.Tinv, y)
+
+
+def test_solve_agrees_with_the_smith_reference():
+    rng = random.Random("solve-parity")
+    answers = set()
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(0, 5)
+        A = [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6, 9]) for _ in range(n)] for _ in range(m)]
+        if n and rng.random() < 0.5:
+            b = apply(A, [rng.randint(-5, 5) for _ in range(n)])
+            b[rng.randrange(m)] += rng.choice([0, 1, 2])
+        else:
+            b = [rng.randint(-6, 6) for _ in range(m)]
+        x, want = linalg.solve(A, b), smith_solve(A, b)
+        assert (x is None) == (want is None), (A, b)
+        assert linalg.in_span(A, b) is (want is not None)
+        if x is not None:
+            assert apply(A, x) == b
+        answers.add(x is None)
+    assert answers == {True, False}
+
+
+def _corrupting(monkeypatch, corrupt):
+    real = linalg._diagonalize
+
+    def fake(A, full):
+        parts = real(A, full)
+        corrupt(*parts)
+        return parts
+
+    monkeypatch.setattr(linalg, "_diagonalize", fake)
+
+
+def test_corrupted_witness_is_caught(monkeypatch):
+    A, b = [[2, 0], [0, 3]], [4, 9]
+    assert apply(A, linalg.solve(A, b)) == b
+
+    def corrupt(D, Sinv, Tinv, S, T):
+        Tinv[0][0] += 1
+
+    _corrupting(monkeypatch, corrupt)
+    with pytest.raises(StructuralError, match="does not solve"):
+        linalg.solve(A, b)
+
+
+def test_corrupted_character_is_caught(monkeypatch):
+    A, b = [[2, 0], [0, 3]], [1, 0]
+    assert not linalg.in_span(A, b)
+
+    def corrupt(D, Sinv, Tinv, S, T):
+        # (1, 1) is odd on b but also on the second column, so proves nothing
+        Sinv[0] = [1, 1]
+
+    _corrupting(monkeypatch, corrupt)
+    with pytest.raises(StructuralError, match="character"):
+        linalg.in_span(A, b)

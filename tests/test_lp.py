@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from magnetkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, simplex
+from magnetkit.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, simplex
 
 
 def dot(a, b):
@@ -82,3 +83,114 @@ def test_empty_system_is_feasible_at_zero():
 def test_ragged_rows_are_rejected():
     with pytest.raises(ValueError):
         simplex([[1, 2], [1]], [1, 1])
+
+
+# --- the Fraction tableau as the reference ---------------------------------
+
+
+def reference_simplex(A, b, c=None):
+    """The two-phase Bland's-rule simplex over a Fraction tableau, which the
+    integer tableau replaced: every pivot choice, and so every result, must
+    be the same."""
+    m = len(b)
+    n = len(A[0]) if m else len(c or ())
+    signs = [-1 if v < 0 else 1 for v in b]
+    rows = [
+        [Fraction(s * a) for a in row] + [Fraction(int(i == r)) for i in range(m)]
+        + [Fraction(s * v)]
+        for r, (s, row, v) in enumerate(zip(signs, A, b))
+    ]
+    basis = list(range(n, n + m))
+
+    def pivot(r, j):
+        pivot_row = rows[r]
+        a = pivot_row[j]
+        if a != 1:
+            pivot_row[:] = [v / a for v in pivot_row]
+        for k, row in enumerate(rows):
+            factor = row[j]
+            if k != r and factor:
+                row[:] = [v - factor * p if p else v for v, p in zip(row, pivot_row)]
+        basis[r] = j
+
+    def run(cost, allowed):
+        while True:
+            in_basis = set(basis)
+            entering = None
+            for j in range(allowed):
+                if j in in_basis:
+                    continue
+                reduced = cost[j] - sum(cost[k] * rows[r][j]
+                                        for r, k in enumerate(basis) if cost[k])
+                if reduced < 0:
+                    entering = j
+                    break
+            if entering is None:
+                return True
+            leaving = None
+            for r, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    key = (row[-1] / a, basis[r])
+                    if leaving is None or key < best:
+                        leaving, best = r, key
+            if leaving is None:
+                return False
+            pivot(leaving, entering)
+
+    run([0] * n + [1] * m, n + m)
+    if any(rows[r][-1] for r, j in enumerate(basis) if j >= n):
+        y = [sum(rows[r][n + i] for r, j in enumerate(basis) if j >= n) for i in range(m)]
+        return LPResult(INFEASIBLE, None, tuple(-s * v for s, v in zip(signs, y)))
+    for r in reversed(range(m)):
+        if basis[r] < n:
+            continue
+        j = next((j for j in range(n) if rows[r][j]), None)
+        if j is None:
+            del rows[r], basis[r]
+        else:
+            pivot(r, j)
+    status = OPTIMAL
+    if c is not None and not run(list(c) + [0] * m, n):
+        status = UNBOUNDED
+    x = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        x[j] = rows[r][-1]
+    return LPResult(status, tuple(x), None)
+
+
+def _seeded_system(rng, rational):
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 6)
+
+    def entry(lo, hi):
+        v = rng.randint(lo, hi)
+        return Fraction(v, rng.choice([1, 2, 3, 4, 6])) if rational else v
+
+    A = [[entry(-4, 4) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        # feasible by construction, often degenerate
+        x0 = [rng.choice([0, 0, 1, 2, 3]) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    else:
+        b = [entry(-9, 9) for _ in range(m)]
+    if m > 1 and rng.random() < 0.2:
+        A.append([2 * a for a in A[0]])
+        b.append(2 * b[0])
+    return A, b
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_integer_tableau_matches_the_fraction_tableau(rational):
+    rng = random.Random("lp-parity-%s" % rational)
+    seen = set()
+    for _ in range(400):
+        A, b = _seeded_system(rng, rational)
+        costs = [None, [rng.randint(-3, 3) for _ in A[0]]]
+        if rational:
+            costs.append([Fraction(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in A[0]])
+        for c in costs:
+            got = simplex(A, b, c)
+            assert got == reference_simplex(A, b, c), (A, b, c)
+            seen.add(got.status)
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}

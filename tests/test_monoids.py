@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -185,6 +186,65 @@ def test_tiers_agree_with_certified_answers(f, orders, with_units):
                                        with_units)
         for m, want in questions:
             assert monoids._after_first_pass(N, m) is want, (N.describe(), m)
+
+
+# the Z3 family of the membership benchmark, whose ladders double the size
+Z3_FAMILY = [[1, 0, 0], [0, 1, 0], [1, 1, 1], [2, -1, 1], [0, 0, 1]]
+
+
+def _first_passes(monkeypatch):
+    """Count the solver calls made with the first pass's node budget."""
+    calls = []
+    real = monoids.has_nonneg_solution
+
+    def counted(*args, **kwargs):
+        if kwargs.get("max_nodes") == monoids.FIRST_PASS_NODES:
+            calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monoids, "has_nonneg_solution", counted)
+    monoids._cached_contains.cache_clear()
+    return calls
+
+
+def test_deep_member_skips_the_first_pass(monkeypatch):
+    G = FgAbelianGroup(3)
+    N = Submonoid.generated_by(G, Z3_FAMILY)
+    # a sum of 128 generators, with coefficients (40, 30, 20, 25, 13); any
+    # witness has length at least 58, and C(58 + 5, 5) is far past 100
+    m = G.element([110, 25, 58])
+    assert monoids._witness_length_bound(Z3_FAMILY, m.free) == 58
+    calls = _first_passes(monkeypatch)
+    assert contains(N, m)
+    assert calls == []
+
+
+def test_generator_adjacent_question_keeps_the_first_pass(monkeypatch):
+    G = FgAbelianGroup(3)
+    N = Submonoid.generated_by(G, Z3_FAMILY)
+    calls = _first_passes(monkeypatch)
+    assert contains(N, G.element([1, 1, 0]))
+    assert not contains(N, G.element([-1, 0, 0]))
+    assert calls == [(1, 1, 0), (-1, 0, 0)]
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_routed_answers_match_the_complete_solver(f, orders):
+    # sharp monoids only: with a unit pair the bare solver at its full cap
+    # takes seconds on some routed questions and caps on others; the tiers'
+    # answers there are checked by test_tiers_agree_with_certified_answers
+    N, questions = _tier_questions(repr((f, orders, False, 0)), f, orders, False)
+    columns = [g.coords for g in N.generators]
+    k = len(columns) + 2 * len(orders)
+    routed = [(m, want) for m, want in questions
+              if math.comb(monoids._witness_length_bound(columns, m.free) + k, k)
+              > monoids.FIRST_PASS_NODES]
+    assert routed
+    monoids._cached_contains.cache_clear()
+    for m, want in routed:
+        full = has_nonneg_solution(columns, m.coords, (0,) * f + orders)
+        assert contains(N, m) is full is want, (N.describe(), m)
 
 
 def test_witness_case_past_the_old_node_cap():
