@@ -54,6 +54,11 @@ def _schema() -> dict:
 _MESSAGE_CHARS = 200
 
 
+def _clip(message: str) -> str:
+    """A message that may echo a bad value, cut to _MESSAGE_CHARS."""
+    return message if len(message) <= _MESSAGE_CHARS else message[:_MESSAGE_CHARS] + "…"
+
+
 def load_problem(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -71,10 +76,7 @@ def load_problem(path: str) -> dict:
     if problems:
         first = problems[0]
         loc = "/".join(str(p) for p in first.absolute_path) or "(top level)"
-        message = first.message  # echoes the offending value, however long
-        if len(message) > _MESSAGE_CHARS:
-            message = message[:_MESSAGE_CHARS] + "…"
-        raise SchemaError(message, location=loc)
+        raise SchemaError(_clip(first.message), location=loc)
     _check_coordinate_lengths(doc)
     return doc
 
@@ -554,28 +556,36 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
 def _module_from_weights(doc, group) -> GradedFreeModule:
     if "weights" not in doc:
         raise SchemaError('cohomology needs a "weights" block', location="weights")
-    lines = []
+    lines = {}  # line name -> degree, in file order
     for i, w in enumerate(doc["weights"]):
         label = w.get("label", "w%d" % i)
         mult = w.get("mult", 1)
         deg = _split_degree(group, w)
-        if mult == 1:
-            lines.append((label, deg))
-        else:
-            lines += [("%s_%d" % (label, j), deg) for j in range(mult)]
-    return GradedFreeModule(group, tuple(lines))
+        for name in [label] if mult == 1 else ["%s_%d" % (label, j) for j in range(mult)]:
+            if name in lines:
+                raise SchemaError(_clip("line name %r is used twice" % name),
+                                  location="weights/%d" % i)
+            lines[name] = deg
+    return GradedFreeModule(group, tuple(lines.items()))
 
 
 def _cochain_from_doc(doc, group, module) -> Cochain:
     block = doc["cochain"]
-    entries = []
-    for entry in block["entries"]:
+    names = {name for name, _ in module.lines}
+    entries = {}
+    for i, entry in enumerate(block["entries"]):
+        loc = "cochain/entries/%d" % i
         key = tuple(group.element(a) for a in entry["args"])
-        value = module.element(
+        if key in entries:
+            raise SchemaError("an earlier entry has the same args", location=loc + "/args")
+        unknown = sorted(set(entry["value"]) - names)
+        if unknown:
+            raise SchemaError(_clip("unknown line names %r" % unknown),
+                              location=loc + "/value")
+        entries[key] = module.element(
             {name: Fraction(s) for name, s in entry["value"].items()}
         )
-        entries.append((key, value))
-    return Cochain(module, block["arity"], tuple(entries))
+    return Cochain(module, block["arity"], tuple(entries.items()))
 
 
 @main.command("cohomology")

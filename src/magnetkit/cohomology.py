@@ -2,19 +2,26 @@
 
 A graded module carries one projection mu_k per degree k.  The projections
 compose by mu_k mu_l = delta_{kl} mu_l, and evaluation at degree 0 plays the
-role of the augmentation on the right.  Cochains in arities 0..3 with respect
-to these two actions have an explicit differential, and every 1-cocycle xi is
-a coboundary with primitive -xi(0): expanding the cocycle identity at (m, 0)
-gives xi(m) = -mu_m(xi(0)) + delta_{m0} xi(0) on the nose.  This is the
-uniqueness mechanism for limit structures: the first cohomology vanishes with
-a formula, not just abstractly.
+role of the augmentation on the right.  Cochains with respect to these two
+actions are stored in arities 0..3, and cochains of arities 0..2 have an
+explicit differential (so coboundaries reach arity 3; an arity-3 cochain has
+none, and `differential` refuses it).  Every 1-cocycle xi is a coboundary
+with primitive -xi(0): expanding the cocycle identity at (m, 0) gives
+xi(m) = -mu_m(xi(0)) + delta_{m0} xi(0) on the nose.  This is the uniqueness
+mechanism for limit structures: the first cohomology vanishes with a
+formula, not just abstractly.
+
+The differential is a sparse kernel.  Each entry of a cochain adds its
+coefficients into the few keys of the coboundary it can reach, with the
+degrees numbered by small ints while it sums, instead of evaluating the
+formula at every tuple of relevant degrees; its cost grows with the number
+of entries, not with a power of the degree support.
 
 Coefficients are exact rationals throughout.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -177,38 +184,54 @@ class Cochain:
         return tuple(k for k, _ in self.entries)
 
 
-def _relevant_degrees(c: Cochain) -> list[GroupElement]:
-    degs = {c.module.grading_group.zero()}
-    for key, value in c.entries:
-        degs.update(key)
-        degs.update(value.support_degrees())
-    return sorted(degs)
-
-
 def differential(c: Cochain) -> Cochain:
     """The coboundary, one arity up.  Defined for arities 0, 1 and 2.
 
     For c of arity n, at k = (k0, ..., kn):
         mu_{k0} c(k1..kn) + sum_i (-1)^i [k_{i-1} = k_i] c(k without k_i)
                           + (-1)^(n+1) [kn = 0] c(k0..k_{n-1}).
-    Outside the finite probe grid every term vanishes: each summand needs
-    its arguments to hit the support of c or the degree of a surviving
-    component, and those all lie in the relevant-degree set.
+    Read entry by entry, an entry (a, w) of c reaches only n + 2 kinds of
+    key: (d, a) for each degree d of a line where w is nonzero, taking the
+    degree-d part of w; a with a_{i-1} repeated at position i, taking
+    (-1)^i w; and (a, 0), taking (-1)^(n+1) w.  So each entry adds into
+    those keys, and every other key of the coboundary is zero.
     """
     if c.arity >= 3:
         raise StructuralError("differential implemented up to arity 2")
     n = c.arity
-    zero = c.module.grading_group.zero()
-    out = []
-    for k in itertools.product(_relevant_degrees(c), repeat=n + 1):
-        val = mu(k[0], c(*k[1:]))
-        terms = [(i, k[:i] + k[i + 1:]) for i in range(1, n + 1) if k[i - 1] == k[i]]
-        if k[n] == zero:
-            terms.append((n + 1, k[:n]))
-        for i, args in terms:
-            val = val - c(*args) if i % 2 else val + c(*args)
-        out.append((k, val))
-    return Cochain(c.module, n + 1, tuple(out))
+    module = c.module
+    number = {}  # coordinates -> small int; every degree lies in one group
+    degrees = []
+
+    def index(g):
+        i = number.get(g.coords)
+        if i is None:
+            i = number[g.coords] = len(degrees)
+            degrees.append(g)
+        return i
+
+    line_degree = [index(d) for _, d in module.lines]
+    zero = (index(module.grading_group.zero()),)
+    sums = {}  # key of small ints -> {line index: coefficient}
+    for args, value in c.entries:
+        a = tuple(index(g) for g in args)
+        plus = [(j, x) for j, x in enumerate(value.coeffs) if x]
+        minus = [(j, -x) for j, x in plus]
+        reach = [((line_degree[j],) + a, ((j, x),)) for j, x in plus]
+        reach += [(a[:i] + a[i - 1:], minus if i % 2 else plus) for i in range(1, n + 1)]
+        reach.append((a + zero, plus if n % 2 else minus))
+        for key, part in reach:
+            row = sums.setdefault(key, {})
+            for j, x in part:
+                row[j] = row[j] + x if j in row else x
+    blank = module.zero().coeffs
+    entries = []
+    for key, row in sums.items():
+        coeffs = list(blank)
+        for j, x in row.items():
+            coeffs[j] = x
+        entries.append((tuple(degrees[i] for i in key), ModuleElement(module, tuple(coeffs))))
+    return Cochain(module, n + 1, tuple(entries))
 
 
 def is_cocycle(c: Cochain) -> bool:

@@ -442,22 +442,9 @@ def test_roots_bad_simple_name():
     assert r.exit_code == 2
 
 
-def test_cohomology_fixture(tmp_path):
-    path = write(
-        tmp_path,
-        "cocycle.json",
-        {
-            "group": {"free_rank": 1},
-            "weights": [{"degree": [3], "label": "e"}],
-            "cochain": {
-                "arity": 1,
-                "entries": [
-                    {"args": [[0]], "value": {"e": "1"}},
-                    {"args": [[3]], "value": {"e": "-1"}},
-                ],
-            },
-        },
-    )
+def test_cohomology_fixture():
+    # the README's example, line e in degree 3 with xi(0) = e, xi(3) = -e
+    path = str(pathlib.Path(__file__).parent.parent / "examples" / "cocycle.json")
     r = run("cohomology", "--input", path)
     assert r.exit_code == 0
     assert "primitive: e -> -1" in r.output
@@ -512,6 +499,50 @@ def test_cochain_arity_mismatch_is_schema_error(tmp_path):
     )
     r = run("cohomology", "--input", path)
     assert r.exit_code == 2
+
+
+def test_duplicate_cochain_args_are_located(tmp_path):
+    path = write(tmp_path, "dup_args.json", {
+        "group": {"free_rank": 0, "torsion": [3]},
+        "weights": [{"degree": [], "torsion": [1], "label": "e"}],
+        "cochain": {"arity": 1, "entries": [
+            {"args": [[1]], "value": {"e": "1"}},
+            {"args": [[2]], "value": {"e": "1"}},
+            {"args": [[4]], "value": {"e": "2"}},  # 4 = 1 in Z/3
+        ]},
+    })
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 2
+    assert "schema error at cochain/entries/2/args: " in r.output
+
+
+def test_unknown_line_in_a_cochain_value_is_located(tmp_path):
+    path = write(tmp_path, "unknown_line.json", {
+        "group": {"free_rank": 1},
+        "weights": [{"degree": [3], "label": "e"}],
+        "cochain": {"arity": 1, "entries": [
+            {"args": [[0]], "value": {"e": "1"}},
+            {"args": [[3]], "value": {"e": "-1", "q": "2"}},
+        ]},
+    })
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 2
+    assert "schema error at cochain/entries/1/value: unknown line names ['q']" in r.output
+
+
+@pytest.mark.parametrize("weights, where", [
+    ([{"degree": [1]}, {"degree": [2], "label": "w0"}], "weights/1"),
+    ([{"degree": [1], "label": "e", "mult": 2}, {"degree": [2]},
+      {"degree": [3], "label": "e_0"}], "weights/2"),
+    ([{"degree": [1], "label": "e_1"}, {"degree": [2], "label": "e", "mult": 3}], "weights/1"),
+], ids=["default-label", "mult-expanded", "expanded-later"])
+def test_a_line_name_used_twice_is_located(tmp_path, weights, where):
+    path = write(tmp_path, "dup_lines.json",
+                 {"group": {"free_rank": 1}, "weights": weights,
+                  "command-options": {"trials": 2}})
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 2
+    assert "schema error at %s: line name " % where in r.output
 
 
 def test_bb_on_the_affine_line(tmp_path):

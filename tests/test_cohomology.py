@@ -1,9 +1,12 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import magnetkit.cohomology as cohomology
 from magnetkit.cohomology import (
     Cochain,
     GradedFreeModule,
@@ -210,3 +213,93 @@ def test_differential_refuses_arity_three():
     M = line_module()
     with pytest.raises(StructuralError):
         differential(Cochain.of(M, 3, []))
+
+
+def dense_differential(c):
+    """The coboundary formula evaluated at every tuple of relevant degrees,
+    as a reference for the sparse kernel."""
+    degs = {c.module.grading_group.zero()}
+    for key, value in c.entries:
+        degs.update(key)
+        degs.update(value.support_degrees())
+    n = c.arity
+    zero = c.module.grading_group.zero()
+    out = []
+    for k in itertools.product(sorted(degs), repeat=n + 1):
+        val = mu(k[0], c(*k[1:]))
+        terms = [(i, k[:i] + k[i + 1:]) for i in range(1, n + 1) if k[i - 1] == k[i]]
+        if k[n] == zero:
+            terms.append((n + 1, k[:n]))
+        for i, args in terms:
+            val = val - c(*args) if i % 2 else val + c(*args)
+        out.append((k, val))
+    return Cochain(c.module, n + 1, tuple(out))
+
+
+@pytest.mark.parametrize("group", [
+    FgAbelianGroup(1, ()), FgAbelianGroup(2, ()), FgAbelianGroup(1, (3,)),
+], ids=["Z", "Z2", "Z x Z3"])
+def test_differential_matches_the_dense_loop(group):
+    rng = random.Random(group.coord_count)
+
+    def degree():
+        return group.element([rng.randint(-2, 2) for _ in range(group.free_rank)]
+                             + [rng.randrange(t) for t in group.torsion_orders])
+
+    def element(M):
+        return ModuleElement(M, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                      for _ in M.lines))
+
+    cancelled = 0
+    for trial in range(200):
+        M = GradedFreeModule.of(
+            group, [("m%d" % i, degree().coords) for i in range(rng.randint(1, 4))])
+        arity = trial % 3
+        keys = {tuple(degree() for _ in range(arity)) for _ in range(rng.randint(0, 5))}
+        c = Cochain.of(M, arity, [(key, element(M)) for key in keys])
+        if arity and trial % 4 == 0:
+            # a coboundary, whose own coboundary cancels at every key
+            lower = tuple(degree() for _ in range(arity - 1))
+            c = differential(Cochain.of(M, arity - 1, [(lower, element(M))]))
+        d = differential(c)
+        assert d.entries == dense_differential(c).entries
+        assert all(type(x) is Fraction for _, v in d.entries for x in v.coeffs)
+        cancelled += d.is_zero() and not c.is_zero()
+    assert cancelled > 10
+
+
+def test_arity_one_on_sixty_degrees():
+    M = GradedFreeModule.of(Z, [("e%d" % d, [d]) for d in range(-30, 30)])
+    v = ModuleElement(M, tuple(Fraction(d, 7) for d in range(1, 61)))
+    xi = differential(Cochain.constant(v))
+    assert len(xi.entries) == 60
+    assert differential(xi).is_zero()
+    p = primitive(xi)
+    assert p() == v - mu(Z.element([0]), v)
+    assert differential(p) == xi
+    # a 1-cochain that is no cocycle still has d(d(c)) = 0
+    c = Cochain.of(M, 1, [((Z.element([d]),), M.basis("e%d" % -d).scale(d + 40))
+                          for d in range(-29, 31)])
+    assert len(c.entries) == 60
+    assert not differential(c).is_zero()
+    assert differential(differential(c)).is_zero()
+
+
+def test_callers_reach_the_differential_by_its_module_name(monkeypatch):
+    calls = []
+    kernel = cohomology.differential
+
+    def counted(c):
+        calls.append(c.arity)
+        return kernel(c)
+
+    monkeypatch.setattr(cohomology, "differential", counted)
+    M = line_module()
+    e = M.basis("e")
+    xi = Cochain.of(M, 1, [((Z.element([0]),), e), ((Z.element([3]),), -e)])
+    assert is_cocycle(xi)
+    assert calls == [1]
+    primitive(xi)
+    assert calls == [1, 1, 0]
+    assert h1_zero_suite(M, trials=2, seed=0) == 2
+    assert len(calls) == 3 + 2 * 5  # a trial: d(v), is_cocycle, primitive's two, d(p)
