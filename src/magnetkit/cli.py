@@ -51,6 +51,32 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _inline_refs(schema: dict) -> dict:
+    """A copy of schema with each {"$ref": "#/$defs/x"} replaced by the
+    definition x, itself inlined (no definition refers to itself).
+
+    Validating against the copy walks no references, and it reports the same
+    errors at the same paths: the only message that quotes a subschema is
+    oneOf's, and its branches hold no $ref.
+    """
+    defs = schema["$defs"]
+
+    def inline(node):
+        if isinstance(node, list):
+            return [inline(v) for v in node]
+        if not isinstance(node, dict):
+            return node
+        if set(node) == {"$ref"}:
+            return inline(defs[node["$ref"].removeprefix("#/$defs/")])
+        return {k: inline(v) for k, v in node.items()}
+
+    return inline(schema)
+
+
+# built once, when the module loads; load_problem checks every file with it
+_VALIDATOR = jsonschema.Draft202012Validator(_inline_refs(_schema()))
+
+
 _MESSAGE_CHARS = 200
 
 
@@ -60,6 +86,12 @@ def _clip(message: str) -> str:
 
 
 def load_problem(path: str) -> dict:
+    """Read and check one problem file; any fault is a located SchemaError.
+
+    The document is checked against the shipped schema by one validator,
+    built at import from the schema with its references inlined, then for
+    the coordinate lengths the schema cannot express.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=decimal.Decimal)  # 1.0 passes "integer", a Decimal does not
@@ -69,9 +101,8 @@ def load_problem(path: str) -> dict:
         # malformed JSON, bytes that are not UTF-8, an integer past the
         # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
-    validator = jsonschema.Draft202012Validator(_schema())
     problems = sorted(
-        validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
+        _VALIDATOR.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
     )
     if problems:
         first = problems[0]

@@ -158,6 +158,17 @@ class Cochain:
         object.__setattr__(self, "entries", tuple(sorted(kept, key=lambda e: e[0])))
 
     @classmethod
+    def _trusted(cls, module: GradedFreeModule, arity: int, entries) -> "Cochain":
+        """A cochain from entries already as __post_init__ leaves them:
+        distinct keys of the arity over the module's group, sorted, with
+        nonzero values in the module.  Nothing is checked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "module", module)
+        object.__setattr__(c, "arity", arity)
+        object.__setattr__(c, "entries", entries)
+        return c
+
+    @classmethod
     def of(cls, module: GradedFreeModule, arity: int, table) -> "Cochain":
         entries = []
         for key, value in table:
@@ -194,7 +205,10 @@ def differential(c: Cochain) -> Cochain:
     key: (d, a) for each degree d of a line where w is nonzero, taking the
     degree-d part of w; a with a_{i-1} repeated at position i, taking
     (-1)^i w; and (a, 0), taking (-1)^(n+1) w.  So each entry adds into
-    those keys, and every other key of the coboundary is zero.
+    those keys, and every other key of the coboundary is zero.  The keys
+    are built from degrees of the module's group and cannot repeat, so the
+    result skips Cochain's checks: the kernel drops the zero rows itself and
+    sorts the rest by the keys' coordinate tuples, GroupElement's order.
     """
     if c.arity >= 3:
         raise StructuralError("differential implemented up to arity 2")
@@ -225,13 +239,19 @@ def differential(c: Cochain) -> Cochain:
             for j, x in part:
                 row[j] = row[j] + x if j in row else x
     blank = module.zero().coeffs
-    entries = []
+    rows = []
     for key, row in sums.items():
+        if not any(row.values()):
+            continue
         coeffs = list(blank)
         for j, x in row.items():
             coeffs[j] = x
-        entries.append((tuple(degrees[i] for i in key), ModuleElement(module, tuple(coeffs))))
-    return Cochain(module, n + 1, tuple(entries))
+        rows.append((tuple(degrees[i].coords for i in key), key, tuple(coeffs)))
+    # coordinate tuples order degrees of one group as GroupElement does
+    rows.sort(key=lambda e: e[0])
+    entries = tuple((tuple(degrees[i] for i in key), ModuleElement(module, coeffs))
+                    for _, key, coeffs in rows)
+    return Cochain._trusted(module, n + 1, entries)
 
 
 def is_cocycle(c: Cochain) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mod, sub
 from typing import Optional, Sequence, Union
 
 from .errors import PreconditionError, SharpenRequiredError, StructuralError, crosscheck
@@ -30,6 +31,7 @@ from .groups import FgAbelianGroup, GroupElement, GroupHom
 from .monoids import (
     CACHE_SIZE,
     Submonoid,
+    _slice,
     bounded_members,
     intersection,
     is_face,
@@ -294,7 +296,10 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     killed when m - g is in the slice for an explicit generator g, when m - g
     is a killed member for a monoid generator g, or when m escapes an avoided
     magnet.  No membership question goes to the monoid, and the avoided
-    magnets are asked at most once per member.
+    magnets are asked at most once per member.  The slice and these
+    decisions work on coordinate tuples, torsion reduced mod its orders; a
+    GroupElement is built only to ask an avoided magnet and for the members
+    reported.
 
     After degree B is decided, if every member in the window (B - maxh, B] is
     killed then every member above B - maxh is killed too (peel generators off
@@ -317,37 +322,51 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
         # once the word-length BFS stabilizes below the probe bound
         return SupportReport(members, finite, None, False)
 
+    G = N0.ambient
+    r = G.free_rank
+    orders = G.torsion_orders
+
+    def reduced(coords):
+        return coords[:r] + tuple(map(mod, coords[r:], orders)) if orders else coords
+
+    def element(coords):
+        return GroupElement(G, coords[:r], coords[r:])
+
     h = positive_grading(N0).degree
-    maxh = max(h(g) for g in N0.generators)
+    weights = [h(g) for g in N0.generators]
+    maxh = max(weights)
     I = A.killed
-    S = bounded_members(N0, probe_bound, h)
-    levels: dict[int, list[GroupElement]] = {}
-    for m in S:
-        levels.setdefault(h(m), []).append(m)
-    killed: set[GroupElement] = set()
-    survivors: list[GroupElement] = []
+    explicit = [g.coords for g in I.generators]
+    peels = [g.coords for g in N0.generators]
+    S = _slice(N0, probe_bound, weights)
+    levels: dict[int, list[tuple]] = {}
+    for m, d in S.items():
+        levels.setdefault(d, []).append(m)
+    killed: set[tuple] = set()
+    survivors: list[tuple] = []
     # the least B whose window (B - maxh, B] holds no survivor found so far
     free_from = maxh
     for B in range(probe_bound + 1):
         for m in levels.get(B, ()):
-            if (any(m - g in S for g in I.generators)
-                    or any(m - g in killed for g in N0.generators)
-                    or any(not a.contains(m) for a in I.avoided)):
+            if (any(reduced(tuple(map(sub, m, g))) in S for g in explicit)
+                    or any(reduced(tuple(map(sub, m, g))) in killed for g in peels)
+                    or any(not a.contains(element(m)) for a in I.avoided)):
                 killed.add(m)
             else:
                 survivors.append(m)
                 free_from = B + maxh
         if B >= free_from:
-            members = tuple(sorted(survivors))
+            members = tuple(map(element, sorted(survivors)))
             return SupportReport(members, True, B, any(not m.is_zero() for m in members))
     # k * h(m) <= probe_bound puts k * m in the slice, so it is decided
     witnessed = any(
-        m.scale(k) in killed
+        reduced(tuple(k * c for c in m)) in killed
         for m in survivors
-        if not m.is_zero()
-        for k in range(2, probe_bound // h(m) + 1)
+        if any(m)
+        for k in range(2, probe_bound // S[m] + 1)
     )
-    return SupportReport(tuple(sorted(survivors)), None, None, True if witnessed else None)
+    members = tuple(map(element, sorted(survivors)))
+    return SupportReport(members, None, None, True if witnessed else None)
 
 
 @dataclass(frozen=True)

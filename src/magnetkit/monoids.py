@@ -35,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mod
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diophantine import DEFAULT_MAX_NODES, has_nonneg_solution
@@ -546,35 +547,57 @@ def positive_grading(N: Submonoid) -> GradingMorphism:
     return GradingMorphism(N, _positive_covector(N.generators, N.ambient.free_rank))
 
 
-def bounded_members(N: Submonoid, bound: int,
-                    degree: Optional[Callable[[GroupElement], int]] = None) -> set[GroupElement]:
-    """All members of degree <= bound (sharp N; exact slice).
+def _slice(N: Submonoid, bound: int, weights: Sequence[int]) -> dict[tuple, int]:
+    """The breadth-first slice of N on coordinate tuples, as {coords: degree}.
 
-    With degree None the slice is by combination length instead, which is only
-    a finite approximation and is used where the caller says so.
+    weights[i] is the degree of the i-th generator; a step adds a generator's
+    coordinates, torsion ones reduced mod their orders, and its weight.  Up to
+    bound levels are taken, a step landing above degree bound is dropped, and
+    the cap is checked after each level.  Zero weights give the slice by
+    combination length.
     """
-    frontier = {N.ambient.zero()}
-    seen = set(frontier)
+    r = N.ambient.free_rank
+    orders = N.ambient.torsion_orders
+    steps = [(g.coords, w) for g, w in zip(N.generators, weights)]
+    frontier = {(0,) * N.ambient.coord_count: 0}
+    seen = dict(frontier)
     for level in range(bound):
-        new = set()
-        for x in frontier:
-            for g in N.generators:
-                y = x + g
-                if y in seen:
+        new = {}
+        for x, d in frontier.items():
+            for g, w in steps:
+                e = d + w
+                if e > bound:
                     continue
-                if degree is not None and degree(y) > bound:
-                    continue
-                new.add(y)
-        seen |= new
+                y = tuple(map(add, x, g))
+                if orders:
+                    y = y[:r] + tuple(map(mod, y[r:], orders))
+                if y not in seen:
+                    new[y] = e
+        seen.update(new)
         if len(seen) > DEFAULT_MAX_NODES:
             raise ResourceLimitError(
                 "member enumeration exceeded %d nodes" % DEFAULT_MAX_NODES)
         frontier = new
         if not frontier:
             break
-    if degree is None:
-        return seen
-    return {x for x in seen if degree(x) <= bound}
+    return seen
+
+
+def bounded_members(N: Submonoid, bound: int,
+                    degree: Optional[Callable[[GroupElement], int]] = None) -> set[GroupElement]:
+    """All members of degree <= bound (sharp N; exact slice).
+
+    degree must be additive, degree(x + y) = degree(x) + degree(y), as a
+    GradingMorphism.degree is: it is read once per generator and a member's
+    degree is the sum along the path that reached it.  With degree None the
+    slice is by combination length instead, which is only a finite
+    approximation and is used where the caller says so.
+    """
+    G = N.ambient
+    r = G.free_rank
+    weights = [0 if degree is None else degree(g) for g in N.generators]
+    return {GroupElement(G, x[:r], x[r:]) for x, d in _slice(N, bound, weights).items()
+            if degree is None or d <= bound}
 
 
 @dataclass(frozen=True)

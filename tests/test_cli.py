@@ -1,17 +1,21 @@
+import copy
+import decimal
 import gc
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnetkit
-from magnetkit.cli import main
+from magnetkit.cli import _VALIDATOR, _schema, main
 
 SRC = pathlib.Path(magnetkit.__file__).parent.parent
 
@@ -214,6 +218,67 @@ def test_short_schema_errors_are_echoed_whole(tmp_path):
     r = run("faces", "--input", path)
     assert r.exit_code == 2
     assert r.stderr == "schema error at group/free_rank: 'two' is not of type 'integer'\n"
+
+
+VALID_DOCS = [
+    {"group": {"free_rank": 1},
+     "charts": [{"name": "U0", "vars": [{"name": "x", "degree": [1]}]},
+                {"name": "U1", "monoid_algebra": {"generators": [[1], [2]]}}],
+     "monoid": {"generators": [[1]]}, "face": {"generators": []},
+     "command-options": {"bound": 3, "trials": 2}},
+    {"group": {"free_rank": 2, "torsion": [3]},
+     "chart": {"vars": [{"name": "x", "degree": [1, 0], "torsion": [2]}]},
+     "monoids": [{"generators": [[1, 0, 1]]}, {"generators": [[0, 1, 0], [1, 1, 2]]}],
+     "center": ["x"], "rootsystem": {"type": "A2"}},
+    {"group": {"free_rank": 1},
+     "weights": [{"degree": [0], "label": "e", "mult": 2}, {"degree": [1], "torsion": []}],
+     "cochain": {"arity": 1, "entries": [{"args": [[0]], "value": {"e": "1/2"}},
+                                         {"args": [[1]], "value": {"e": "-3"}}]}},
+]
+
+JUNK = [-1, 0, 1, 7, "", "x", "1/0", "2/3", None, True, [], [1], [[1]], {}, {"q": 1},
+        {"generators": 1}, {"name": ""}, decimal.Decimal("1.5"), decimal.Decimal("2.0")]
+
+
+def broken_doc(rng):
+    """A copy of a valid document with one to three of its values replaced,
+    keys dropped or unknown keys added, drawn by rng."""
+    doc = copy.deepcopy(rng.choice(VALID_DOCS))
+
+    def junk():
+        return copy.deepcopy(rng.choice(JUNK))
+
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_paths(doc))[1:])
+        parent = _at(doc, path[:-1])
+        move = rng.random()
+        if move < 0.6:
+            parent[path[-1]] = junk()
+        elif move < 0.8 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[rng.choice(["nope", "name", "torsion", "mult", "x"])] = junk()
+        else:
+            parent.append(junk())
+    return doc
+
+
+def test_the_ref_free_validator_reports_what_the_schema_does():
+    def errors(validator, doc):
+        found = sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
+        return [(list(e.absolute_path), e.message) for e in found]
+
+    reference = jsonschema.Draft202012Validator(_schema())
+    assert "$ref" not in json.dumps(_VALIDATOR.schema)
+    rng = random.Random(14)
+    for doc in VALID_DOCS:
+        assert errors(reference, doc) == errors(_VALIDATOR, doc) == []
+    malformed = 0
+    while malformed < 600:
+        doc = broken_doc(rng)
+        want = errors(reference, doc)
+        assert errors(_VALIDATOR, doc) == want, doc
+        malformed += bool(want)
 
 
 def test_problem_files_are_read_as_utf8(tmp_path):

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magnetkit import monoids
 from magnetkit.errors import (
     PreconditionError,
+    ResourceLimitError,
     SharpenRequiredError,
     StructuralError,
 )
@@ -134,6 +136,77 @@ def test_support_report_group_algebra():
     assert rep.non_reduced is False
 
 
+def reference_bounded_members(N, bound, degree=None):
+    """The slice as a breadth-first search over GroupElements, a reference
+    for the kernel on coordinate tuples; it reads the cap at call time."""
+    frontier = {N.ambient.zero()}
+    seen = set(frontier)
+    for level in range(bound):
+        new = set()
+        for x in frontier:
+            for g in N.generators:
+                y = x + g
+                if y in seen:
+                    continue
+                if degree is not None and degree(y) > bound:
+                    continue
+                new.add(y)
+        seen |= new
+        if len(seen) > monoids.DEFAULT_MAX_NODES:
+            raise ResourceLimitError(
+                "member enumeration exceeded %d nodes" % monoids.DEFAULT_MAX_NODES)
+        frontier = new
+        if not frontier:
+            break
+    if degree is None:
+        return seen
+    return {x for x in seen if degree(x) <= bound}
+
+
+SLICE_GROUPS = [FgAbelianGroup(r, t) for r in (1, 2, 3) for t in ((), (2,), (3,), (2, 4))]
+
+
+def random_monoid(rng, G, sharp):
+    N = Submonoid.zero(G)
+    while not N.generators or (sharp and not is_sharp(N)):
+        N = Submonoid.generated_by(G, [[rng.randint(-2, 2) for _ in range(G.coord_count)]
+                                       for _ in range(rng.randint(1, 4))])
+    return N
+
+
+@pytest.mark.parametrize("G", SLICE_GROUPS, ids=lambda G: G.describe())
+def test_bounded_members_match_the_group_element_search(G):
+    rng = random.Random(G.coord_count * 10 + sum(G.torsion_orders))
+    for _ in range(12):
+        N = random_monoid(rng, G, sharp=True)
+        h = positive_grading(N).degree
+        bound = rng.randint(0, 12)
+        assert bounded_members(N, bound, h) == reference_bounded_members(N, bound, h), (N, bound)
+        N = random_monoid(rng, G, sharp=False)
+        bound = rng.randint(0, 12 // G.free_rank)
+        assert bounded_members(N, bound) == reference_bounded_members(N, bound), (N, bound)
+
+
+@pytest.mark.parametrize("graded", [True, False], ids=["degree", "length"])
+def test_bounded_members_hit_the_cap_at_the_same_level(monkeypatch, graded):
+    G = FgAbelianGroup(2, (3,))
+    N = Submonoid.generated_by(G, [[1, 0, 1], [1, 1, 0], [1, -1, 2], [2, 1, 1]])
+    h = positive_grading(N).degree if graded else None
+    monkeypatch.setattr(monoids, "DEFAULT_MAX_NODES", 60)
+    raised = []
+    for bound in range(12):
+        try:
+            want = reference_bounded_members(N, bound, h)
+        except ResourceLimitError as e:
+            with pytest.raises(ResourceLimitError) as got:
+                bounded_members(N, bound, h)
+            assert str(got.value) == str(e) == "member enumeration exceeded 60 nodes"
+            raised.append(bound)
+        else:
+            assert bounded_members(N, bound, h) == want
+    assert raised and raised == list(range(raised[0], 12))
+
+
 def reference_support_report(A, probe_bound):
     """The sharp support scan with every member decided by `_ideal_member`,
     which asks the solver about each divisor, and the windows scanned after
@@ -142,7 +215,8 @@ def reference_support_report(A, probe_bound):
     h = positive_grading(N0).degree
     maxh = max(h(g) for g in N0.generators)
     survivors = sorted(
-        m for m in bounded_members(N0, probe_bound, h) if not _ideal_member(A.killed, m)
+        m for m in reference_bounded_members(N0, probe_bound, h)
+        if not _ideal_member(A.killed, m)
     )
     alive = {h(m) for m in survivors}
     for B in range(maxh, probe_bound + 1):
