@@ -200,15 +200,15 @@ def _flag_vectors(text: str, flag: str, length: int, shape: str,
     return value
 
 
-def _monoid_arg(doc, group, flag_value, key="monoid") -> Submonoid:
+def _monoid_arg(doc, group, flag_value) -> Submonoid:
     if flag_value is not None:
         gens = _flag_vectors(flag_value, "monoid", group.coord_count,
                              "--monoid must be a list of integer vectors", nested=True)
         return Submonoid.generated_by(group, gens)
-    if key in doc:
-        return _file_monoid(group, doc[key])
+    if "monoid" in doc:
+        return _file_monoid(group, doc["monoid"])
     raise SchemaError(
-        'no monoid given: add a "%s" block or pass --monoid' % key, location=key
+        'no monoid given: add a "monoid" block or pass --monoid', location="monoid"
     )
 
 
@@ -226,6 +226,13 @@ def _named_charts(doc: dict, group: FgAbelianGroup) -> list:
             chart = MonoidAlgebra(_file_monoid(group, block["monoid_algebra"]))
         out.append((name, chart))
     return out
+
+
+def _free_chart(doc: dict, group: FgAbelianGroup, command: str) -> FreePoly:
+    charts = _named_charts(doc, group)
+    if len(charts) != 1 or not isinstance(charts[0][1], FreePoly):
+        raise SchemaError("%s needs exactly one free chart" % command, location="chart")
+    return charts[0][1]
 
 
 def _weight_module(doc: dict, group: FgAbelianGroup) -> WeightModule:
@@ -633,7 +640,7 @@ def cmd_cohomology(path, trials, as_json):
     lines = []
     if "cochain" in doc:
         xi = _cochain_from_doc(doc, group, module)
-        cocycle = is_cocycle(xi) if xi.arity < 3 else None
+        cocycle = is_cocycle(xi)
         payload["cocycle"] = cocycle
         lines.append("cocycle: %s" % cocycle)
         if xi.arity == 1:
@@ -669,13 +676,9 @@ def cmd_bb(path, monoid_json, bound, as_json):
     doc = load_problem(path)
     group = _group(doc)
     N = _monoid_arg(doc, group, monoid_json)
-    charts = _named_charts(doc, group)
-    if len(charts) != 1 or not isinstance(charts[0][1], FreePoly):
-        raise SchemaError(
-            "bb needs exactly one free chart", location="chart"
-        )
+    chart = _free_chart(doc, group, "bb")
     cap = bound if bound is not None else doc.get("command-options", {}).get("bound", 8)
-    res = bb_bundle(charts[0][1], N, hilbert_check_bound=cap)
+    res = bb_bundle(chart, N, hilbert_check_bound=cap)
     payload = {
         "command": "bb",
         "base": [{"name": n, "degree": _coords(d)} for n, d in res.base.vars],
@@ -705,10 +708,8 @@ def cmd_dilatation_check(path, monoid_json, as_json):
     doc = load_problem(path)
     group = _group(doc)
     N = _monoid_arg(doc, group, monoid_json)
-    charts = _named_charts(doc, group)
-    if len(charts) != 1 or not isinstance(charts[0][1], FreePoly):
-        raise SchemaError("dilatation-check needs exactly one free chart", location="chart")
-    setup = DilatationSetup(charts[0][1], tuple(doc.get("center", [])))
+    setup = DilatationSetup(_free_chart(doc, group, "dilatation-check"),
+                            tuple(doc.get("center", [])))
     rep = dilatation_attractor_check(setup, N)
     payload = {
         "command": "dilatation-check",

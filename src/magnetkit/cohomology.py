@@ -3,12 +3,11 @@
 A graded module carries one projection mu_k per degree k.  The projections
 compose by mu_k mu_l = delta_{kl} mu_l, and evaluation at degree 0 plays the
 role of the augmentation on the right.  Cochains with respect to these two
-actions are stored in arities 0..3, and cochains of arities 0..2 have an
-explicit differential (so coboundaries reach arity 3; an arity-3 cochain has
-none, and `differential` refuses it).  Every 1-cocycle xi is a coboundary
-with primitive -xi(0): expanding the cocycle identity at (m, 0) gives
-xi(m) = -mu_m(xi(0)) + delta_{m0} xi(0) on the nose.  This is the uniqueness
-mechanism for limit structures: the first cohomology vanishes with a
+actions have any arity n >= 0, and one differential serves them all.  The
+complex is contractible: h(c)(k_1..k_{n-1}) = (-1)^n c(k_1..k_{n-1}, 0)
+gives dh + hd = id in every positive arity, so every n-cocycle xi is the
+coboundary of h(xi); in arity 1 that primitive is -xi(0).  This is the
+uniqueness mechanism for limit structures: the cohomology vanishes with a
 formula, not just abstractly.
 
 The differential is a sparse kernel.  Each entry of a cochain adds its
@@ -125,7 +124,7 @@ def mu(k: GroupElement, v: ModuleElement) -> ModuleElement:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Finitely supported cochain of arity 0..3 with module-element values.
+    """Finitely supported cochain of any arity n >= 0 with module-element values.
 
     Arity 0 stores a single value under the empty key; higher arities map
     degree tuples to elements.  Zero values are dropped so equality of
@@ -137,8 +136,8 @@ class Cochain:
     entries: tuple[tuple[tuple, ModuleElement], ...]
 
     def __post_init__(self):
-        if not 0 <= self.arity <= 3:
-            raise StructuralError("arity must be between 0 and 3")
+        if self.arity < 0:
+            raise StructuralError("arity must be nonnegative")
         seen = set()
         kept = []
         for key, value in self.entries:
@@ -191,12 +190,9 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def support(self) -> tuple[tuple, ...]:
-        return tuple(k for k, _ in self.entries)
-
 
 def differential(c: Cochain) -> Cochain:
-    """The coboundary, one arity up.  Defined for arities 0, 1 and 2.
+    """The coboundary, one arity up, in every arity n >= 0.
 
     For c of arity n, at k = (k0, ..., kn):
         mu_{k0} c(k1..kn) + sum_i (-1)^i [k_{i-1} = k_i] c(k without k_i)
@@ -210,8 +206,6 @@ def differential(c: Cochain) -> Cochain:
     result skips Cochain's checks: the kernel drops the zero rows itself and
     sorts the rest by the keys' coordinate tuples, GroupElement's order.
     """
-    if c.arity >= 3:
-        raise StructuralError("differential implemented up to arity 2")
     n = c.arity
     module = c.module
     number = {}  # coordinates -> small int; every degree lies in one group
@@ -258,24 +252,32 @@ def is_cocycle(c: Cochain) -> bool:
     return differential(c).is_zero()
 
 
-def primitive(xi: Cochain) -> Cochain:
-    """The 0-cochain v with dv = xi, for any 1-cocycle xi; v is -xi(0).
+def homotopy(c: Cochain) -> Cochain:
+    """h(c)(k_1..k_{n-1}) = (-1)^n c(k_1..k_{n-1}, 0), so dh + hd = id for
+    arity n >= 1; the keys it keeps stay distinct and sorted, so unchecked."""
+    if c.arity < 1:
+        raise StructuralError("the homotopy takes a cochain of arity at least 1")
+    zero = c.module.grading_group.zero()
+    sign = -1 if c.arity % 2 else 1
+    entries = tuple((k[:-1], v.scale(sign)) for k, v in c.entries if k[-1] == zero)
+    return Cochain._trusted(c.module, c.arity - 1, entries)
 
-    Raises NotACocycleError with a witnessing argument pair when xi is not
-    a cocycle.
+
+def primitive(xi: Cochain) -> Cochain:
+    """The primitive h(xi) of a cocycle xi of arity n >= 1 (-xi(0) in arity 1).
+
+    Raises NotACocycleError with a witnessing (n+1)-tuple of degrees when
+    xi is not a cocycle.
     """
-    if xi.arity != 1:
-        raise StructuralError("primitive takes a 1-cochain")
+    p = homotopy(xi)
     obstruction = differential(xi)
     if not obstruction.is_zero():
         key, _ = obstruction.entries[0]
         raise NotACocycleError(
             "no primitive: the coboundary is nonzero at %r" % (key,), witness=key
         )
-    zero = xi.module.grading_group.zero()
-    v = Cochain.constant(-xi(zero))
-    crosscheck(differential(v) == xi, "primitive formula failed to reproduce the cocycle")
-    return v
+    crosscheck(differential(p) == xi, "primitive formula failed to reproduce the cocycle")
+    return p
 
 
 def h1_zero_suite(
@@ -283,11 +285,11 @@ def h1_zero_suite(
 ) -> int:
     """Randomized check that every 1-coboundary has the formulaic primitive.
 
-    Draws random 0-cochains, takes their coboundaries, recovers primitives,
-    and confirms the round trip; the primitive is the original element with
-    its degree-0 component removed.  Returns the number of successful trials
-    (always `trials` unless something is badly wrong, in which case an
-    exception escapes).
+    Draws random 0-cochains and recovers primitives of their coboundaries;
+    `primitive` checks the cocycle and the round trip, and the suite that
+    the primitive is the original element minus its degree-0 component.
+    Returns the number of successful trials (always `trials` unless
+    something is badly wrong, in which case an exception escapes).
     """
     rng = random.Random(seed)
     zero = module.grading_group.zero()
@@ -296,9 +298,6 @@ def h1_zero_suite(
             Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in module.lines
         )
         v = ModuleElement(module, coeffs)
-        xi = differential(Cochain.constant(v))
-        crosscheck(is_cocycle(xi), "a coboundary failed the cocycle test")
-        p = primitive(xi)
-        crosscheck(differential(p) == xi, "primitive round trip failed")
+        p = primitive(differential(Cochain.constant(v)))
         crosscheck(p() == v - mu(zero, v), "primitive is not the reduced original")
     return trials

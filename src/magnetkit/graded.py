@@ -237,8 +237,6 @@ Presentation = Union[FreePoly, MonoidAlgebra]
 
 @dataclass(frozen=True)
 class AttractorResult:
-    source: Presentation
-    magnet: object
     killed: object
     quotient: Presentation
 
@@ -250,7 +248,7 @@ def attractor(P: Presentation, N) -> AttractorResult:
     if isinstance(P, FreePoly):
         survivors = tuple(v for v in P.vars if N.contains(v[1]))
         killed = tuple(n for n, d in P.vars if not N.contains(d))
-        return AttractorResult(P, N, killed, FreePoly(P.grading_group, survivors, P.coeff))
+        return AttractorResult(killed, FreePoly(P.grading_group, survivors, P.coeff))
     if isinstance(P, MonoidAlgebra):
         if not is_sharp(P.monoid):
             raise SharpenRequiredError(
@@ -259,7 +257,7 @@ def attractor(P: Presentation, N) -> AttractorResult:
             )
         ideal = MonoidIdeal(P.monoid, avoided=(N,))
         quotient = MonoidAlgebra(P.monoid, P.killed.union(ideal), P.coeff)
-        return AttractorResult(P, N, ideal, quotient)
+        return AttractorResult(ideal, quotient)
     raise StructuralError("unsupported presentation %r" % (P,))
 
 
@@ -373,8 +371,6 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
 class ClosedInclusion:
     """Witness that the attractor of the smaller magnet sits inside the bigger."""
 
-    smaller: object
-    bigger: object
     extra_killed: tuple
 
 
@@ -396,7 +392,7 @@ def inclusion_is_closed(P: Presentation, N: Submonoid, L) -> ClosedInclusion:
     kept_N = _kept(attractor(P, N).quotient)
     kept_L = _kept(attractor(P, L).quotient)
     crosscheck(kept_N <= kept_L, "killed-set containment failed on %r", sorted(kept_N - kept_L))
-    return ClosedInclusion(N, L, tuple(sorted(kept_L - kept_N)))
+    return ClosedInclusion(tuple(sorted(kept_L - kept_N)))
 
 
 @dataclass(frozen=True)

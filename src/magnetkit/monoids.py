@@ -664,17 +664,16 @@ class PushoutComplement:
     """L' with (L minus N) removed: the monoid-like L' \\ (L \\ N).
 
     Membership is exact via the stored predicate parts.  The generator tuple
-    is a finite slice (degree <= degree_bound under a positive grading of the
-    sharpened L', lifted through a section), sufficient for operations that
-    only probe finite degree sets; the full complement need not be finitely
-    generated.
+    is a finite slice (degree <= pushout_complement's degree_bound under a
+    positive grading of the sharpened L', lifted through a section),
+    sufficient for operations that only probe finite degree sets; the full
+    complement need not be finitely generated.
     """
 
     inner: Submonoid
     removed: Submonoid
     outer: Submonoid
     generators: tuple[GroupElement, ...]
-    degree_bound: int
 
     @property
     def ambient(self) -> FgAbelianGroup:
@@ -725,7 +724,7 @@ def pushout_complement(N: Submonoid, L: Submonoid, Lp: Submonoid,
     for x in sorted(lifted, key=lambda e: (h(sq.apply(e)), e.coords)):
         if not contains(Submonoid(Lp.ambient, tuple(gens)), x):
             gens.append(x)
-    result = PushoutComplement(N, L, Lp, tuple(sorted(gens)), degree_bound)
+    result = PushoutComplement(N, L, Lp, tuple(sorted(gens)))
     crosscheck(is_face(N, Submonoid(Lp.ambient, result.generators)),
                "pushout complement lost the face property")
     return result

@@ -123,30 +123,34 @@ class SubgroupReport:
     dim: int
 
 
+def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
+    """The roots in the integer span of zeta, by linear algebra alone."""
+    rs = datum.rootsystem
+    cols = [[a.coords[i] for a in zeta] for i in range(rs.lattice_rank)]
+    return frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
+
+
 def levi(datum: ReductiveDatum, zeta) -> SubgroupReport:
     """Magnet generated by zeta and its negatives; Levi root trace and dimension."""
     zeta = _check_zeta(datum, zeta)
     rs = datum.rootsystem
-    theta = tuple(zeta) + tuple(-a for a in zeta)
-    magnet = Submonoid(rs.ambient, theta)
+    magnet = Submonoid(rs.ambient, tuple(zeta) + tuple(-a for a in zeta))
     trace = frozenset(r for r in rs.roots if magnet.contains(r))
-    # theta generates a group, so the trace must match the integer span of zeta
-    cols = [[a.coords[i] for a in zeta] for i in range(rs.lattice_rank)]
-    by_span = frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
-    crosscheck(trace == by_span, "Levi trace disagrees with the span computation")
+    # zeta and its negatives generate a group, so the trace is the span of zeta
+    crosscheck(trace == _span_roots(datum, zeta), "Levi trace disagrees with the span computation")
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
     crosscheck(dim == datum.torus_rank + len(trace), "Levi dimension bookkeeping failed")
     return SubgroupReport(magnet, trace, dim)
 
 
 def parabolic(datum: ReductiveDatum, zeta) -> SubgroupReport:
-    """Magnet generated by all simple roots plus the negatives of zeta."""
+    """Magnet generated by all simple roots plus the negatives of zeta; its
+    trace is checked against the positives plus the Levi roots, by span."""
     zeta = _check_zeta(datum, zeta)
     rs = datum.rootsystem
-    sigma = tuple(rs.basis) + tuple(-a for a in zeta)
-    magnet = Submonoid(rs.ambient, sigma)
+    magnet = Submonoid(rs.ambient, tuple(rs.basis) + tuple(-a for a in zeta))
     trace = frozenset(r for r in rs.roots if magnet.contains(r))
-    crosscheck(trace == set(rs.positives) | levi(datum, zeta).roots,
+    crosscheck(trace == set(rs.positives) | _span_roots(datum, zeta),
                "parabolic trace is not positives plus Levi roots")
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
     crosscheck(dim == datum.torus_rank + len(trace), "parabolic dimension bookkeeping failed")
@@ -221,10 +225,11 @@ class CartesianSquareReport:
 def cartesian_square(datum: ReductiveDatum, xi, zeta) -> CartesianSquareReport:
     """The parabolic/Levi square for xi inside zeta, checked on root sets.
 
-    Outer pair: the zeta-parabolic magnet and its Levi face.  Inner pair: the
-    xi-parabolic magnet and its intersection with the Levi.  The set identity
-    (the inner parabolic is the outer one minus the missing Levi part), the
-    sum identity, and the dimension identity are all verified; results are
+    Outer pair: the zeta-parabolic magnet L' and its Levi face L, inner pair:
+    the xi-parabolic magnet N' and its intersection N with the Levi, each
+    report built once.  The set identity (the inner parabolic is the outer
+    one minus the missing Levi part), the sum identity, and the dimension
+    identity are read off the reports' traces and dimensions; results are
     reported rather than asserted so a failing hypothesis is visible.
     """
     xi = _check_zeta(datum, xi)
@@ -232,23 +237,17 @@ def cartesian_square(datum: ReductiveDatum, xi, zeta) -> CartesianSquareReport:
     if not set(xi) <= set(zeta):
         raise PreconditionError("xi must be contained in zeta")
     rs = datum.rootsystem
-    adj = adjoint_module(datum)
-    Lp = parabolic(datum, zeta).magnet
-    L = levi(datum, zeta).magnet
-    Np = parabolic(datum, xi).magnet
-    N = intersection(L, Np)
-
-    face_ok = is_face(L, Lp)
-    probes = (rs.ambient.zero(),) + rs.roots
+    Lp, L, Np = parabolic(datum, zeta), levi(datum, zeta), parabolic(datum, xi)
+    N = intersection(L.magnet, Np.magnet)
+    face_ok = is_face(L.magnet, Lp.magnet)
+    # zero lies in all four magnets, and a root lies in N iff in L and in N'
     complement_ok = all(
-        Np.contains(p) == (Lp.contains(p) and (N.contains(p) or not L.contains(p)))
-        for p in probes
+        (r in Np.roots) == (r in Lp.roots and ((r in L.roots and r in Np.roots)
+                                               or r not in L.roots))
+        for r in rs.roots
     )
-    sum_monoid = Submonoid(rs.ambient, L.generators + Np.generators)
-    sum_ok = all(Lp.contains(p) == sum_monoid.contains(p) for p in rs.roots)
-
-    dims = tuple(
-        weight_attractor(adj, m).dimension for m in (Lp, Np, L, N)
-    )
+    sum_monoid = Submonoid(rs.ambient, L.magnet.generators + Np.magnet.generators)
+    sum_ok = all((r in Lp.roots) == sum_monoid.contains(r) for r in rs.roots)
+    dims = (Lp.dim, Np.dim, L.dim, weight_attractor(adjoint_module(datum), N).dimension)
     identity_ok = dims[0] + dims[3] == dims[2] + dims[1]
     return CartesianSquareReport(dims, face_ok, complement_ok, sum_ok, identity_ok)

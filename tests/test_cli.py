@@ -538,6 +538,29 @@ def test_cohomology_non_cocycle_fails(tmp_path):
     assert r.exit_code == 1
 
 
+ARITY_THREE_COBOUNDARY = {
+    "group": {"free_rank": 1},
+    "weights": [{"degree": [1], "label": "e"}],
+    "cochain": {"arity": 3, "entries": [
+        {"args": [[1], [1], [0]], "value": {"e": "-1"}},
+        {"args": [[1], [1], [1]], "value": {"e": "1"}},
+    ]},
+}
+
+
+@pytest.mark.parametrize("first, cocycle", [("-1", True), ("1", False)])
+def test_cohomology_answers_arity_three(tmp_path, first, cocycle):
+    doc = copy.deepcopy(ARITY_THREE_COBOUNDARY)
+    doc["cochain"]["entries"][0]["value"]["e"] = first
+    path = write(tmp_path, "arity3.json", doc)
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 0
+    assert r.output == "cocycle: %s\n" % cocycle
+    j = run("cohomology", "--input", path, "--json")
+    assert j.exit_code == 0
+    assert json.loads(j.output) == {"command": "cohomology", "cocycle": cocycle}
+
+
 def test_cohomology_trials(tmp_path):
     path = write(
         tmp_path,

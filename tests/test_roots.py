@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -188,6 +189,45 @@ def test_cartesian_square_spot_checks():
     zeta = (a3.rootsystem.basis[0], a3.rootsystem.basis[2])
     rep = cartesian_square(a3, (a3.rootsystem.basis[0],), zeta)
     assert rep.passed
+
+
+def _rational_span_roots(datum, zeta):
+    """Roots in the rational span of zeta, by Gaussian elimination over Q."""
+    rows = [[Fraction(c) for c in a.coords] for a in zeta]
+    basis = []  # echelon rows, each with its pivot column
+    for row in rows:
+        for pivot, b in basis:
+            row = [x - row[pivot] * y for x, y in zip(row, b)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            row = [x / row[lead] for x in row]
+            basis = [(p, [x - b[lead] * y for x, y in zip(b, row)]) for p, b in basis]
+            basis.append((lead, row))
+
+    def inside(v):
+        v = [Fraction(c) for c in v]
+        for pivot, b in basis:
+            v = [x - v[pivot] * y for x, y in zip(v, b)]
+        return not any(v)
+
+    return {r for r in datum.rootsystem.roots if inside(r.coords)}
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "G2"])
+def test_square_dims_count_the_roots_of_each_corner(name):
+    d = build(name)
+    basis = d.rootsystem.basis
+    t = d.torus_rank
+    positives = set(d.rootsystem.positives)
+    subsets = [c for k in range(len(basis) + 1) for c in itertools.combinations(basis, k)]
+    for zeta in subsets:
+        levi_roots = _rational_span_roots(d, zeta)
+        for xi in (s for s in subsets if set(s) <= set(zeta)):
+            inner = positives | _rational_span_roots(d, xi)
+            rep = cartesian_square(d, xi, zeta)
+            assert rep.dims == (t + len(positives | levi_roots), t + len(inner),
+                                t + len(levi_roots), t + len(levi_roots & inner))
+            assert rep.passed
 
 
 def test_cartesian_square_needs_nested_types():
