@@ -463,9 +463,8 @@ def cmd_membership(path, monoid_json, element_json, as_json):
     )
 
 
-def _parse_simple_roots(datum, text):
-    if text is None:
-        return None
+def _parse_simple_roots(datum, text, flag):
+    """The simple roots named in text, the value of the option flag."""
     text = text.strip()
     if text in ("", "none"):
         return ()
@@ -475,11 +474,11 @@ def _parse_simple_roots(datum, text):
         match = re.fullmatch(r"a([1-9][0-9]*)", token)
         if not match:
             raise SchemaError(
-                "simple roots are named a1, a2, ...; got %r" % token, location="--roots"
+                "simple roots are named a1, a2, ...; got %r" % token, location=flag
             )
         index = int(match.group(1)) - 1
         if index >= len(datum.rootsystem.basis):
-            raise SchemaError("no simple root %r in this type" % token, location="--roots")
+            raise SchemaError("no simple root %r in this type" % token, location=flag)
         out.append(datum.rootsystem.basis[index])
     return tuple(out)
 
@@ -513,7 +512,7 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
     lines = []
 
     if parabolic_spec is not None:
-        zeta = _parse_simple_roots(datum, parabolic_spec)
+        zeta = _parse_simple_roots(datum, parabolic_spec, "--parabolic")
         P = parabolic(datum, zeta)
         L = levi(datum, zeta)
         payload.update(
@@ -526,7 +525,7 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
         )
         lines.append("type %s, zeta %s: L: %d, P: %d" % (type_name, parabolic_spec, L.dim, P.dim))
     elif levi_spec is not None:
-        zeta = _parse_simple_roots(datum, levi_spec)
+        zeta = _parse_simple_roots(datum, levi_spec, "--levi")
         L = levi(datum, zeta)
         payload.update(
             {
@@ -536,8 +535,8 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
         )
         lines.append("type %s, zeta %s: L: %d" % (type_name, levi_spec, L.dim))
     elif xi_spec is not None or zeta_spec is not None:
-        xi = _parse_simple_roots(datum, xi_spec or "")
-        zeta = _parse_simple_roots(datum, zeta_spec or "")
+        xi = _parse_simple_roots(datum, xi_spec or "", "--xi")
+        zeta = _parse_simple_roots(datum, zeta_spec or "", "--zeta")
         rep = cartesian_square(datum, xi, zeta)
         payload.update(
             {

@@ -10,7 +10,7 @@ with
 
 Conventions match the column-span view: columns of A span a subgroup of Z^m.
 
-solve(A, b), and in_span through it, runs the same elimination but carries
+solve(A, b), the certified span test, runs the same elimination but carries
 only Sinv and Tinv and skips the fold that builds the divisibility chain: a
 diagonal D is enough to read off an integer solution.  Each answer comes
 with a certificate checked by multiplication: a solution x with A x == b,
@@ -207,8 +207,3 @@ def _mod(v: int, d: int) -> int:
     """v modulo d, and v itself for d == 0 (the congruence is equality)."""
     return v % d if d else v
 
-
-def in_span(columns: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Whether target is an integer combination of the columns of the matrix
-    given by its rows in columns, by solve's certified answer."""
-    return solve(columns, target) is not None

@@ -10,10 +10,10 @@ submonoid.  A generator is a member at once; anything else first gets the
 diophantine completion solver (congruence rows for the torsion coordinates)
 with a budget of FIRST_PASS_NODES nodes, which settles most questions.  One
 that overflows goes through tiers that each answer only where they are
-exact: a lattice test (linalg.in_span, whose "no" carries a character
-checked by multiplication) and a cone test by exact LP (magnetkit.lp),
-whose "no" is final and carries a Farkas separator checked by
-multiplication; a witness from the rounded LP vertex, whose "yes" is final;
+exact: a lattice test (linalg.solve, whose "no" carries a character
+checked by multiplication) and a cone feasibility test by exact LP
+(magnetkit.lp), whose "no" is final and carries a Farkas separator checked
+by multiplication; a witness from the rounded LP vertex, whose "yes" is final;
 and last the complete solver at its full cap.  A deep question skips the
 first pass: when every witness has length at least L, read off the
 target's coordinates, and the C(L + k, k) combinations of length <= L over
@@ -173,7 +173,7 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
     G = N.ambient
     moduli = (0,) * G.free_rank + G.torsion_orders
     columns = [g.coords for g in N.generators]
-    if not linalg.in_span(_lattice_matrix(G, columns), m.coords):
+    if linalg.solve(_lattice_matrix(G, columns), m.coords) is None:
         return False
     cone = lp.simplex([[g.free[i] for g in N.generators] for i in range(G.free_rank)], m.free)
     if cone.separator is not None:

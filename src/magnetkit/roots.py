@@ -11,7 +11,7 @@ the group-level objects line for line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
@@ -123,24 +123,60 @@ class SubgroupReport:
     dim: int
 
 
+def _trace(rs: RootSystem, magnet) -> frozenset:
+    """The roots that lie in the magnet."""
+    return frozenset(r for r in rs.roots if magnet.contains(r))
+
+
+def _sum_closure(coords, idx, S) -> list[int]:
+    """The closure of the index set S under sums inside the root set: coords
+    lists the roots' coordinates and idx inverts it.  Roots lie in the free
+    lattice Z^lattice_rank, so sums are coordinate sums."""
+    members = set(S)
+    todo = list(S)
+    while todo:
+        a = coords[todo.pop()]
+        for j in list(members):
+            k = idx.get(tuple(x + y for x, y in zip(a, coords[j])))
+            if k is not None and k not in members:
+                members.add(k)
+                todo.append(k)
+    return sorted(members)
+
+
 def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
-    """The roots in the integer span of zeta, by linear algebra alone."""
+    """The roots in the integer span of the simple roots zeta, by set
+    arithmetic alone: the sum closure of zeta and its negatives inside the
+    root set.  Every positive root of the span is a sum of roots of zeta
+    whose partial sums are roots (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI, 1.6, Cor. 1), and the negative ones likewise."""
     rs = datum.rootsystem
-    cols = [[a.coords[i] for a in zeta] for i in range(rs.lattice_rank)]
-    return frozenset(r for r in rs.roots if linalg.in_span(cols, r.coords))
+    coords = [r.coords for r in rs.roots]
+    idx = {c: i for i, c in enumerate(coords)}
+    S = [idx[a.coords] for a in zeta] + [idx[(-a).coords] for a in zeta]
+    return frozenset(rs.roots[i] for i in _sum_closure(coords, idx, S))
+
+
+def _report(datum: ReductiveDatum, generators, kind: str, expected: frozenset,
+            trace_message: str) -> SubgroupReport:
+    """The magnet of the generators, its root trace crosschecked against
+    expected, and its attractor dimension crosschecked against the torus
+    rank plus the trace."""
+    rs = datum.rootsystem
+    magnet = Submonoid(rs.ambient, generators)
+    trace = _trace(rs, magnet)
+    crosscheck(trace == expected, trace_message)
+    dim = weight_attractor(adjoint_module(datum), magnet).dimension
+    crosscheck(dim == datum.torus_rank + len(trace), "%s dimension bookkeeping failed", kind)
+    return SubgroupReport(magnet, trace, dim)
 
 
 def levi(datum: ReductiveDatum, zeta) -> SubgroupReport:
     """Magnet generated by zeta and its negatives; Levi root trace and dimension."""
     zeta = _check_zeta(datum, zeta)
-    rs = datum.rootsystem
-    magnet = Submonoid(rs.ambient, tuple(zeta) + tuple(-a for a in zeta))
-    trace = frozenset(r for r in rs.roots if magnet.contains(r))
     # zeta and its negatives generate a group, so the trace is the span of zeta
-    crosscheck(trace == _span_roots(datum, zeta), "Levi trace disagrees with the span computation")
-    dim = weight_attractor(adjoint_module(datum), magnet).dimension
-    crosscheck(dim == datum.torus_rank + len(trace), "Levi dimension bookkeeping failed")
-    return SubgroupReport(magnet, trace, dim)
+    return _report(datum, zeta + tuple(-a for a in zeta), "Levi", _span_roots(datum, zeta),
+                   "Levi trace disagrees with the span computation")
 
 
 def parabolic(datum: ReductiveDatum, zeta) -> SubgroupReport:
@@ -148,13 +184,9 @@ def parabolic(datum: ReductiveDatum, zeta) -> SubgroupReport:
     trace is checked against the positives plus the Levi roots, by span."""
     zeta = _check_zeta(datum, zeta)
     rs = datum.rootsystem
-    magnet = Submonoid(rs.ambient, tuple(rs.basis) + tuple(-a for a in zeta))
-    trace = frozenset(r for r in rs.roots if magnet.contains(r))
-    crosscheck(trace == set(rs.positives) | _span_roots(datum, zeta),
-               "parabolic trace is not positives plus Levi roots")
-    dim = weight_attractor(adjoint_module(datum), magnet).dimension
-    crosscheck(dim == datum.torus_rank + len(trace), "parabolic dimension bookkeeping failed")
-    return SubgroupReport(magnet, trace, dim)
+    return _report(datum, tuple(rs.basis) + tuple(-a for a in zeta), "parabolic",
+                   frozenset(rs.positives) | _span_roots(datum, zeta),
+                   "parabolic trace is not positives plus Levi roots")
 
 
 def root_group(datum: ReductiveDatum, alpha: GroupElement) -> tuple[int, int]:
@@ -183,28 +215,13 @@ def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...
     n = len(rs.roots)
     if n > cap:
         raise ResourceLimitError("root set of size %d exceeds the cap %d" % (n, cap))
-    # roots lie in the free lattice Z^lattice_rank: sums are coordinate sums
     coords = [r.coords for r in rs.roots]
     idx = {c: i for i, c in enumerate(coords)}
-
-    def closure(S):
-        members = set(S)
-        todo = list(S)
-        while todo:
-            a = coords[todo.pop()]
-            for j in list(members):
-                k = idx.get(tuple(x + y for x, y in zip(a, coords[j])))
-                if k is not None and k not in members:
-                    members.add(k)
-                    todo.append(k)
-        return sorted(members)
-
     out = []
-    for C in closed_sets(n, closure):
+    for C in closed_sets(n, partial(_sum_closure, coords, idx)):
         S = frozenset(rs.roots[i] for i in C)
-        gen = Submonoid(rs.ambient, tuple(S))
-        trace = frozenset(r for r in rs.roots if gen.contains(r))
-        crosscheck(trace == S, "closed subset %r is not its own monoid trace", S)
+        crosscheck(_trace(rs, Submonoid(rs.ambient, tuple(S))) == S,
+                   "closed subset %r is not its own monoid trace", S)
         out.append(S)
     return tuple(sorted(out, key=lambda S: (len(S), sorted(r.coords for r in S))))
 
@@ -241,13 +258,9 @@ def cartesian_square(datum: ReductiveDatum, xi, zeta) -> CartesianSquareReport:
     N = intersection(L.magnet, Np.magnet)
     face_ok = is_face(L.magnet, Lp.magnet)
     # zero lies in all four magnets, and a root lies in N iff in L and in N'
-    complement_ok = all(
-        (r in Np.roots) == (r in Lp.roots and ((r in L.roots and r in Np.roots)
-                                               or r not in L.roots))
-        for r in rs.roots
-    )
+    complement_ok = Np.roots == Lp.roots - (L.roots - Np.roots)
     sum_monoid = Submonoid(rs.ambient, L.magnet.generators + Np.magnet.generators)
-    sum_ok = all((r in Lp.roots) == sum_monoid.contains(r) for r in rs.roots)
+    sum_ok = _trace(rs, sum_monoid) == Lp.roots
     dims = (Lp.dim, Np.dim, L.dim, weight_attractor(adjoint_module(datum), N).dimension)
     identity_ok = dims[0] + dims[3] == dims[2] + dims[1]
     return CartesianSquareReport(dims, face_ok, complement_ok, sum_ok, identity_ok)

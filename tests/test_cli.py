@@ -507,6 +507,19 @@ def test_roots_bad_simple_name():
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("--levi", "b1"), "--levi"),
+    (("--parabolic", "a1,a3"), "--parabolic"),
+    (("--xi", "a0", "--zeta", "a1"), "--xi"),
+    (("--xi", "a1", "--zeta", "a1,a9"), "--zeta"),
+], ids=["bad-name", "out-of-range", "xi", "zeta"])
+def test_simple_root_errors_name_the_flag(args, flag):
+    r = run("roots", "--type", "A2", *args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("schema error at %s: " % flag)
+
+
 def test_cohomology_fixture():
     # the README's example, line e in degree 3 with xi(0) = e, xi(3) = -e
     path = str(pathlib.Path(__file__).parent.parent / "examples" / "cocycle.json")

@@ -262,7 +262,7 @@ def test_cone_tier_no_is_crosschecked(monkeypatch):
     m = G.element([-30, 1])
     assert monoids._after_first_pass(N, m) is False
     # (0, 1) is >= 0 on both generators but also on m, so it separates nothing
-    wrong = monoids.lp.LPResult(monoids.lp.INFEASIBLE, None, (0, 1))
+    wrong = monoids.lp.LPResult(None, (0, 1))
     monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: wrong)
     with pytest.raises(StructuralError, match="cone separator"):
         monoids._after_first_pass(N, m)

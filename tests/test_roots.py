@@ -142,14 +142,29 @@ def test_closed_subsets_a2():
                 assert x + y in S
 
 
+def _mask_closed_subsets(datum):
+    """Every root subset closed under sums inside the root set, by a scan of
+    all 2^n masks: the reference for the closure closed_subsets runs."""
+    roots = datum.rootsystem.roots
+    Phi = set(roots)
+    out = set()
+    for mask in range(1 << len(roots)):
+        S = {r for i, r in enumerate(roots) if mask >> i & 1}
+        if all(x + y in S for x, y in itertools.combinations(S, 2) if x + y in Phi):
+            out.add(frozenset(S))
+    return out
+
+
 def test_closed_subsets_match_the_magnet_poset():
-    for name, count in [("A1", 4), ("A2", 29)]:
+    for name, count in [("A1", 4), ("A2", 29), ("A3", 355), ("B2", 55), ("G2", 168)]:
         d = build(name)
         atlas = EquivariantAtlas(
             d.rootsystem.ambient, (("adjoint", adjoint_module(d)),)
         )
         assert len(enumerate_magnets(atlas)) == count
-        assert len(closed_subsets(d)) == count
+        subs = closed_subsets(d)
+        assert len(subs) == count
+        assert set(subs) == _mask_closed_subsets(d)
 
 
 def test_closed_subsets_cap():
