@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 One subcommand per library area.  Input is a JSON problem file validated
-against the shipped schema before anything is built; output is deterministic
+against the shipped schema before anything is built, by a predicate compiled
+from the schema at import; jsonschema is imported only to word the error of a
+file the predicate rejects.  Output is deterministic
 text, canonical JSON with --json, or DOT where a diagram exists.  Exit codes:
 0 success, 1 computation or identity failure, 2 schema/usage error,
 3 resource limit.  The wire format is integers and rational strings, never
@@ -12,19 +14,19 @@ from __future__ import annotations
 
 import decimal
 import json
+import numbers
 import re
 import sys
 from fractions import Fraction
-from functools import wraps
+from functools import cache, wraps
 from importlib import resources
 
 import click
-import jsonschema
 
 from .atlases import EquivariantAtlas, enumerate_magnets
 from .bundles import DilatationSetup, bb_bundle, dilatation_attractor_check
 from .cohomology import Cochain, GradedFreeModule, h1_zero_suite, is_cocycle, primitive
-from .errors import MagnetError, ResourceLimitError, SchemaError
+from .errors import MagnetError, ResourceLimitError, SchemaError, crosscheck
 from .graded import (
     FreePoly,
     MonoidAlgebra,
@@ -73,8 +75,95 @@ def _inline_refs(schema: dict) -> dict:
     return inline(schema)
 
 
-# built once, when the module loads; load_problem checks every file with it
-_VALIDATOR = jsonschema.Draft202012Validator(_inline_refs(_schema()))
+_ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+def _compile(node):
+    """The predicate of one inlined schema node: True exactly when Draft
+    2020-12 validation of the instance against node finds no error.
+
+    Each keyword checks only instances of its own type, as in jsonschema; a
+    bool is no integer, and pattern is re.search.  Instances are documents as
+    json.load reads them with parse_float=Decimal, so they hold no floats.
+    A keyword without a check here raises ValueError naming it.
+    """
+    if isinstance(node, bool):
+        return (lambda x: True) if node else (lambda x: False)
+    checks = [_keyword(key, value, node) for key, value in node.items()
+              if key not in _ANNOTATIONS]
+
+    def all_pass(x):
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return all_pass
+
+
+def _keyword(key, value, node):
+    """The check of one keyword of node, value its argument."""
+    if key == "type" and value == "integer":
+        return _is_integer
+    if key == "type" and value in ("object", "array", "string"):
+        cls = _TYPES[value]
+        return lambda x: isinstance(x, cls)
+    if key == "properties":
+        subs = [(name, _compile(sub)) for name, sub in value.items()]
+        return lambda x: not isinstance(x, dict) or all(
+            sub(x[name]) for name, sub in subs if name in x)
+    if key == "additionalProperties":
+        known = frozenset(node.get("properties", ()))
+        sub = _compile(value)
+        return lambda x: not isinstance(x, dict) or all(
+            sub(v) for k, v in x.items() if k not in known)
+    if key == "required":
+        return lambda x: not isinstance(x, dict) or all(name in x for name in value)
+    if key == "items":
+        sub = _compile(value)
+        return lambda x: not isinstance(x, list) or all(map(sub, x))
+    if key == "minItems":
+        return lambda x: not isinstance(x, list) or len(x) >= value
+    if key == "minimum":
+        return lambda x: not _is_number(x) or x >= value
+    if key == "maximum":
+        return lambda x: not _is_number(x) or x <= value
+    if key == "enum" and all(isinstance(v, str) for v in value):
+        # jsonschema compares a string only by ==, so membership is exact
+        return lambda x: x in value
+    if key == "minLength":
+        return lambda x: not isinstance(x, str) or len(x) >= value
+    if key == "pattern":
+        search = re.compile(value).search
+        return lambda x: not isinstance(x, str) or search(x) is not None
+    if key == "oneOf":
+        subs = [_compile(sub) for sub in value]
+        return lambda x: sum(sub(x) for sub in subs) == 1
+    raise ValueError("schema keyword %r has no compiled check (argument %r)"
+                     % (key, value))
+
+
+# compiled once, when the module loads, and kept as a constant rather than a
+# cached builder, so clearing the library's caches does not compile it again;
+# load_problem checks every file with it
+accepts = _compile(_inline_refs(_schema()))
+
+
+@cache
+def _validator():
+    """The jsonschema validator that words why a document was rejected."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(_inline_refs(_schema()))
 
 
 _MESSAGE_CHARS = 200
@@ -88,9 +177,12 @@ def _clip(message: str) -> str:
 def load_problem(path: str) -> dict:
     """Read and check one problem file; any fault is a located SchemaError.
 
-    The document is checked against the shipped schema by one validator,
-    built at import from the schema with its references inlined, then for
-    the coordinate lengths the schema cannot express.
+    The document is checked against the shipped schema by accepts, the
+    predicate compiled at import from the schema with its references inlined,
+    then for the coordinate lengths the schema cannot express.  Only a
+    rejected document builds the jsonschema validator (once per process),
+    whose first error, by location, is the one reported; that it finds one
+    is crosschecked.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,10 +193,11 @@ def load_problem(path: str) -> dict:
         # malformed JSON, bytes that are not UTF-8, an integer past the
         # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
-    problems = sorted(
-        _VALIDATOR.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
-    )
-    if problems:
+    if not accepts(doc):
+        problems = sorted(
+            _validator().iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
+        )
+        crosscheck(problems, "the schema validator finds no error in a rejected document")
         first = problems[0]
         loc = "/".join(str(p) for p in first.absolute_path) or "(top level)"
         raise SchemaError(_clip(first.message), location=loc)
@@ -619,9 +712,14 @@ def _cochain_from_doc(doc, group, module) -> Cochain:
         if unknown:
             raise SchemaError(_clip("unknown line names %r" % unknown),
                               location=loc + "/value")
-        entries[key] = module.element(
-            {name: Fraction(s) for name, s in entry["value"].items()}
-        )
+        coeffs = {}
+        for name, s in entry["value"].items():
+            try:
+                coeffs[name] = Fraction(s)
+            except ValueError as e:  # a numerator or denominator past the digit limit
+                raise SchemaError(_clip("the rational for %r: %s" % (name, e)),
+                                  location=loc + "/value")
+        entries[key] = module.element(coeffs)
     return Cochain(module, block["arity"], tuple(entries.items()))
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnetkit
-from magnetkit.cli import _VALIDATOR, _schema, main
+from magnetkit.cli import _compile, _schema, _validator, accepts, main
 
 SRC = pathlib.Path(magnetkit.__file__).parent.parent
 
@@ -263,22 +264,112 @@ def broken_doc(rng):
     return doc
 
 
+def _edited(edit):
+    """A copy of the valid document with a cochain, with edit applied."""
+    doc = copy.deepcopy(VALID_DOCS[2])
+    edit(doc)
+    return doc
+
+
+# documents on the edges of the keywords the compiled predicate checks,
+# each with whether the schema accepts it
+EDGE_DOCS = [
+    ({"group": {"free_rank": True}}, False),
+    ({"group": {"free_rank": 1, "torsion": [False]}}, False),
+    ({"group": {"free_rank": decimal.Decimal("2.0")}}, False),
+    ({"group": {"free_rank": 1}, "monoid": {"generators": [[decimal.Decimal("1.0")]]}}, False),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(e="3\n")), True),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(e="1/0")), False),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(e="01")), True),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(e=" 1")), False),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(q="2", r="-1/3")), True),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(q=2)), False),
+    (_edited(lambda d: d["cochain"]["entries"][0]["value"].update(q=None)), False),
+    (_edited(lambda d: d["cochain"].update(arity=3)), True),
+    (_edited(lambda d: d["cochain"].update(arity=4)), False),
+    (_edited(lambda d: d["cochain"].update(arity=-1)), False),
+    (_edited(lambda d: d["weights"][0].update(label="")), False),
+    ({"group": {"free_rank": 1}, "center": [""]}, False),
+    ({"group": {"free_rank": 1}, "chart": {"name": "", "vars": []}}, False),
+    ({"group": {"free_rank": 1}, "chart": {"vars": [{"name": "", "degree": [1]}]}}, False),
+    ({"group": {"free_rank": 1},
+      "chart": {"vars": [], "monoid_algebra": {"generators": []}}}, False),
+    ({"group": {"free_rank": 1}, "chart": {"name": "U"}}, False),
+    ({"group": {"free_rank": 1}, "chart": {"monoid_algebra": {"generators": []}}}, True),
+    ({"group": {"free_rank": 0, "torsion": [1]}}, False),
+    ({"group": {"free_rank": 0, "torsion": [2]}}, True),
+    ({"group": {"free_rank": 1}, "charts": []}, False),
+    ({"group": {"free_rank": 1}, "weights": []}, False),
+    ({"group": {"free_rank": 1}, "monoids": []}, False),
+    ({"group": {"free_rank": 1}, "rootsystem": {"type": "A5"}}, False),
+    ({"group": {"free_rank": 1}, "rootsystem": {"type": ["A1"]}}, False),
+    ({"group": {"free_rank": 1}, "command-options": {"trials": 0}}, False),
+    ({"group": {"free_rank": 1}, "command-options": {"bound": 0, "trials": 1}}, True),
+    ([{"group": {"free_rank": 1}}], False),
+    ("{}", False),
+    ({}, False),
+]
+
+
 def test_the_ref_free_validator_reports_what_the_schema_does():
     def errors(validator, doc):
         found = sorted(validator.iter_errors(doc), key=lambda e: list(map(str, e.absolute_path)))
         return [(list(e.absolute_path), e.message) for e in found]
 
     reference = jsonschema.Draft202012Validator(_schema())
-    assert "$ref" not in json.dumps(_VALIDATOR.schema)
-    rng = random.Random(14)
+    assert "$ref" not in json.dumps(_validator().schema)
     for doc in VALID_DOCS:
-        assert errors(reference, doc) == errors(_VALIDATOR, doc) == []
-    malformed = 0
-    while malformed < 600:
+        assert accepts(doc)
+        assert errors(reference, doc) == errors(_validator(), doc) == []
+    for doc, valid in EDGE_DOCS:
+        assert accepts(doc) is reference.is_valid(doc) is valid, doc
+        assert errors(_validator(), doc) == errors(reference, doc), doc
+    rng = random.Random(14)
+    worded = valid = 0
+    for _ in range(5000):
         doc = broken_doc(rng)
-        want = errors(reference, doc)
-        assert errors(_VALIDATOR, doc) == want, doc
-        malformed += bool(want)
+        assert accepts(doc) is reference.is_valid(doc), doc
+        valid += accepts(doc)
+        if worded < 600:  # messages cost more to compare than verdicts
+            want = errors(reference, doc)
+            assert errors(_validator(), doc) == want, doc
+            worded += bool(want)
+    assert 100 < valid < 1000
+
+
+@pytest.mark.parametrize("node, word", [
+    ({"uniqueItems": True}, "uniqueItems"),
+    ({"type": "array", "items": {"type": "number"}}, "type"),
+    ({"properties": {"x": {"$ref": "#/$defs/x"}}}, "$ref"),
+    ({"enum": [1, 2]}, "enum"),
+])
+def test_a_keyword_without_a_compiled_check_is_refused(node, word):
+    with pytest.raises(ValueError, match=re.escape("schema keyword %r " % word)):
+        _compile(node)
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, magnetkit.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "1/" + "1" * 5000, "-" + "0" * 4301],
+                         ids=["numerator", "denominator", "zeros"])
+def test_a_rational_past_the_digit_limit_is_located(tmp_path, value):
+    path = write(tmp_path, "long.json", {
+        "group": {"free_rank": 1}, "weights": [{"degree": [1], "label": "e"}],
+        "cochain": {"arity": 1, "entries": [{"args": [[0]], "value": {"e": "1"}},
+                                            {"args": [[1]], "value": {"e": value}}]}})
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 2, repr(r.exception)
+    assert isinstance(r.exception, SystemExit)
+    assert r.stderr.startswith("schema error at cochain/entries/1/value: the rational for 'e': ")
+    assert len(r.stderr) < 300
 
 
 def test_problem_files_are_read_as_utf8(tmp_path):

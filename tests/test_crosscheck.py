@@ -104,6 +104,15 @@ FORCED = {
         linalg._diagonalize = corrupted
         call = lambda: linalg.solve([[2, 0], [0, 3]], [1, 0])
     """,
+    "schema_predicate": """
+        import pathlib
+        from magnetkit import cli
+
+        example = pathlib.Path(cli.__file__).parents[2] / "examples" / "cocycle.json"
+        cli.load_problem(example)  # a valid file
+        cli.accepts = lambda doc: False
+        call = lambda: cli.load_problem(example)
+    """,
 }
 
 
