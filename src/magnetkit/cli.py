@@ -194,8 +194,10 @@ def load_problem(path: str) -> dict:
         # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
     if not accepts(doc):
+        # where two paths first differ they index the same node, so both
+        # entries are keys or both are list indices, and indices compare as ints
         problems = sorted(
-            _validator().iter_errors(doc), key=lambda e: list(map(str, e.absolute_path))
+            _validator().iter_errors(doc), key=lambda e: list(e.absolute_path)
         )
         crosscheck(problems, "the schema validator finds no error in a rejected document")
         first = problems[0]
@@ -714,6 +716,11 @@ def _cochain_from_doc(doc, group, module) -> Cochain:
                               location=loc + "/value")
         coeffs = {}
         for name, s in entry["value"].items():
+            # the schema's pattern, read with Python's $, lets one final
+            # newline through, and Fraction would strip it
+            if s.endswith("\n"):
+                raise SchemaError(_clip("the rational for %r ends in a newline" % name),
+                                  location=loc + "/value")
             try:
                 coeffs[name] = Fraction(s)
             except ValueError as e:  # a numerator or denominator past the digit limit

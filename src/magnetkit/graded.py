@@ -16,17 +16,29 @@ a member for some generator g with m - g in N0.  A support report decides the
 same ideal on the slice of members of bounded degree, lowest degree first:
 the slice holds every divisor of its members, so the peel reads the decisions
 already made there instead of asking N0, and the scan stops at the first
-degree that certifies a finite support.
+degree that certifies a finite support.  An avoided magnet that is a sharp
+Submonoid is asked on its own slice in the same way.
+
+Each question goes to the monoid layer once: whether a monoid is a group or
+sharp is one cached verdict per monoid, read off one units call, and a
+free-chart attractor asks the magnet once per variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mod, sub
-from typing import Optional, Sequence, Union
+from operator import mod, mul, sub
+from typing import Callable, Optional, Sequence, Union
 
-from .errors import PreconditionError, SharpenRequiredError, StructuralError, crosscheck
+from .errors import (
+    NoCertificateError,
+    PreconditionError,
+    ResourceLimitError,
+    SharpenRequiredError,
+    StructuralError,
+    crosscheck,
+)
 from .groups import FgAbelianGroup, GroupElement, GroupHom
 from .monoids import (
     CACHE_SIZE,
@@ -35,8 +47,6 @@ from .monoids import (
     bounded_members,
     intersection,
     is_face,
-    is_group,
-    is_sharp,
     positive_grading,
     units,
 )
@@ -126,18 +136,29 @@ class MonoidIdeal:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
+def _shape(N: Submonoid) -> tuple[bool, bool]:
+    """(is_group(N), is_sharp(N)) from one units(N).  A generator of N is a
+    unit iff it is a generator of units(N), so N is a group when all of them
+    are and sharp when units(N) has none; the zero monoid is both."""
+    unit_gens = set(units(N).generators)
+    return all(g in unit_gens for g in N.generators), not unit_gens
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _ideal_member(I: MonoidIdeal, m: GroupElement) -> bool:
+    """Whether m, a member of I.ambient, lies in I."""
     N0 = I.ambient
     for g in I.generators:
         if N0.contains(m - g):
             return True
     if I.avoided:
-        if is_group(N0):
+        group, sharp = _shape(N0)
+        if group:
             # in a group everything divides everything: all or nothing
             return any(
                 not a.contains(g) for a in I.avoided for g in N0.generators
             )
-        if not is_sharp(N0):
+        if not sharp:
             raise PreconditionError("ideal membership needs a sharp monoid or a group")
         # the peels of m are exactly its divisors, finitely many as N0 is sharp
         seen = {m}
@@ -174,7 +195,7 @@ class MonoidAlgebra:
 
     def survives(self, m: GroupElement) -> bool:
         """Whether the graded piece at m is nonzero in the quotient."""
-        return self.monoid.contains(m) and not self.killed.contains(m)
+        return self.monoid.contains(m) and not _ideal_member(self.killed, m)
 
     def describe(self) -> str:
         base = "%s[%s]" % (self.coeff, self.monoid.describe())
@@ -246,11 +267,12 @@ def attractor(P: Presentation, N) -> AttractorResult:
     if N.ambient != P.grading_group:
         raise StructuralError("magnet and presentation have different grading groups")
     if isinstance(P, FreePoly):
-        survivors = tuple(v for v in P.vars if N.contains(v[1]))
-        killed = tuple(n for n, d in P.vars if not N.contains(d))
+        inside = [N.contains(d) for _, d in P.vars]
+        survivors = tuple(v for v, kept in zip(P.vars, inside) if kept)
+        killed = tuple(v[0] for v, kept in zip(P.vars, inside) if not kept)
         return AttractorResult(killed, FreePoly(P.grading_group, survivors, P.coeff))
     if isinstance(P, MonoidAlgebra):
-        if not is_sharp(P.monoid):
+        if not _shape(P.monoid)[1]:
             raise SharpenRequiredError(
                 "monoid-algebra attractors need a sharp underlying monoid; "
                 "pass through sharp_quotient and reindex first"
@@ -293,11 +315,14 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     most h(m), so it lies in the monoid iff it lies in the slice: a member is
     killed when m - g is in the slice for an explicit generator g, when m - g
     is a killed member for a monoid generator g, or when m escapes an avoided
-    magnet.  No membership question goes to the monoid, and the avoided
-    magnets are asked at most once per member.  The slice and these
-    decisions work on coordinate tuples, torsion reduced mod its orders; a
-    GroupElement is built only to ask an avoided magnet and for the members
-    reported.
+    magnet.  No membership question goes to the monoid.  An avoided magnet
+    that is a sharp Submonoid answers from its own slice (_magnet_test): a
+    degree of negative weight under its positive grading escapes it, and
+    any other is looked up in a slice built to at least that weight.  Any
+    other avoided magnet is asked at most once per member, through
+    contains.  The slice and these decisions work on coordinate tuples,
+    torsion reduced mod its orders; a GroupElement is built only to ask an
+    avoided magnet through contains and for the members reported.
 
     After degree B is decided, if every member in the window (B - maxh, B] is
     killed then every member above B - maxh is killed too (peel generators off
@@ -311,7 +336,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     if not N0.generators:
         alive = A.survives(zero)
         return SupportReport((zero,) if alive else (), True, 0, False)
-    if is_group(N0):
+    if _shape(N0)[0]:
         if not A.survives(zero):
             return SupportReport((), True, 0, False)
         finite = all(all(c == 0 for c in g.free) for g in N0.generators)
@@ -336,6 +361,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     I = A.killed
     explicit = [g.coords for g in I.generators]
     peels = [g.coords for g in N0.generators]
+    inside = [_magnet_test(a, element) for a in I.avoided]
     S = _slice(N0, probe_bound, weights)
     levels: dict[int, list[tuple]] = {}
     for m, d in S.items():
@@ -348,7 +374,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
         for m in levels.get(B, ()):
             if (any(reduced(tuple(map(sub, m, g))) in S for g in explicit)
                     or any(reduced(tuple(map(sub, m, g))) in killed for g in peels)
-                    or any(not a.contains(element(m)) for a in I.avoided)):
+                    or not all(t(m) for t in inside)):
                 killed.add(m)
             else:
                 survivors.append(m)
@@ -365,6 +391,51 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     )
     members = tuple(map(element, sorted(survivors)))
     return SupportReport(members, None, None, True if witnessed else None)
+
+
+def _magnet_test(a, element: Callable[[tuple], GroupElement]) -> Callable[[tuple], bool]:
+    """Membership in the magnet a, asked on reduced coordinate tuples.
+
+    A sharp Submonoid with generators answers from its own slice: with w its
+    positive grading, every member x has w.x >= 0 and _slice(a, w.x) reaches
+    it.  So a tuple of negative degree is refused, and any other is looked
+    up in one slice, which starts as {0} and is rebuilt with at least twice
+    its bound whenever a question lies above it.  Any other magnet asks
+    a.contains, and so does a Submonoid when positive_grading finds it not
+    sharp, finds no covector in its box or hits a cap, and, from then on,
+    when its slice hits the node cap.
+    """
+    def ask(m):
+        return a.contains(element(m))
+
+    if not (isinstance(a, Submonoid) and a.generators):
+        return ask
+    try:
+        grading = positive_grading(a)
+    except (PreconditionError, NoCertificateError, ResourceLimitError):
+        return ask
+    covector = grading.covector
+    weights = [grading.degree(g) for g in a.generators]
+    bound = 0
+    members: Optional[dict] = {(0,) * a.ambient.coord_count: 0}
+
+    def test(m):
+        nonlocal bound, members
+        d = sum(map(mul, covector, m))  # map stops at the free coordinates
+        if d < 0:
+            return False
+        if members is None:  # the slice hit the node cap
+            return ask(m)
+        if d > bound:
+            bound = max(d, 2 * bound)
+            try:
+                members = _slice(a, bound, weights)
+            except ResourceLimitError:
+                members = None
+                return ask(m)
+        return m in members
+
+    return test
 
 
 @dataclass(frozen=True)

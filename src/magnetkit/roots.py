@@ -17,7 +17,7 @@ from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import Submonoid, closed_sets, intersection, is_face
+from .monoids import CACHE_SIZE, Submonoid, closed_sets, intersection, is_face
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,7 @@ def build(name: str) -> ReductiveDatum:
     raise StructuralError("unsupported root system type %r" % (name,))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def adjoint_module(datum: ReductiveDatum) -> WeightModule:
     rs = datum.rootsystem
     entries = [(rs.ambient.zero(), datum.torus_rank, "t")]

@@ -877,3 +877,28 @@ def test_module_run_prints_the_usage():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith(b"Usage: ")
     assert b"membership" in out.stdout
+
+
+@pytest.mark.parametrize("value", ["3\n", "1/2\n"])
+def test_a_rational_with_a_final_newline_is_located(tmp_path, value):
+    # the schema's pattern lets the newline through under Python's regex
+    # dialect, as jsonschema's own validator does; the loader refuses it
+    path = write(tmp_path, "newline.json", {
+        "group": {"free_rank": 1}, "weights": [{"degree": [1], "label": "e"}],
+        "cochain": {"arity": 1, "entries": [{"args": [[0]], "value": {"e": "1"}},
+                                            {"args": [[1]], "value": {"e": value}}]}})
+    r = run("cohomology", "--input", path)
+    assert r.exit_code == 2, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == ("schema error at cochain/entries/1/value: "
+                        "the rational for 'e' ends in a newline\n")
+
+
+def test_schema_errors_are_ordered_by_list_index(tmp_path):
+    gens = [[i] for i in range(11)]
+    gens[2] = gens[10] = ["x"]
+    path = write(tmp_path, "two_bad.json",
+                 {"group": {"free_rank": 1}, "monoid": {"generators": gens}})
+    r = run("faces", "--input", path)
+    assert r.exit_code == 2, repr(r.exception)
+    assert r.stderr.startswith("schema error at monoid/generators/2/0: ")

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnetkit import monoids
+from magnetkit import graded, monoids
 from magnetkit.errors import (
     PreconditionError,
     ResourceLimitError,
@@ -32,6 +34,7 @@ from magnetkit.graded import (
     weight_attractor,
 )
 from magnetkit.monoids import (
+    Intersection,
     PreimageMonoid,
     Submonoid,
     bounded_members,
@@ -286,6 +289,146 @@ def test_support_report_decides_no_member_above_the_certificate():
     assert len(set(magnet.asked)) == len(magnet.asked)
     for m in magnet.asked:
         assert m in members and h(m) <= rep.certified_degree
+
+
+# --- avoided magnets on their own slice --------------------------------------
+
+
+def clear_library_caches():
+    for module in (graded, monoids):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+
+
+def random_avoided(rng, N0, vec):
+    """An avoided magnet of a random kind: sharp, non-sharp, zero, or an
+    Intersection, the last three taking the route through contains.  Most
+    take some generators of N0, so that members survive."""
+    G = N0.ambient
+
+    def gens():
+        some = [g.coords for g in rng.sample(N0.generators, rng.randint(0, len(N0.generators)))]
+        return some + [vec() for _ in range(rng.randint(0 if some else 1, 2))]
+
+    kind = rng.choice(("sharp", "sharp", "non-sharp", "zero", "intersection"))
+    if kind == "zero":
+        return Submonoid.zero(G)
+    if kind == "intersection":
+        return Intersection(tuple(Submonoid.generated_by(G, gens()) for _ in range(2)))
+    if kind == "non-sharp":
+        g = vec()
+        while not any(g[:G.free_rank]):
+            g = vec()
+        return Submonoid.generated_by(G, gens() + [g, [-c for c in g]])
+    a = Submonoid.zero(G)
+    while not a.generators or not is_sharp(a):
+        a = Submonoid.generated_by(G, gens())
+    return a
+
+
+SLICE_ROUTE_GROUPS = [FgAbelianGroup(2), FgAbelianGroup(3), FgAbelianGroup(2, (3,))]
+
+
+def slice_route_algebras(G, count, seed):
+    """Seeded sharp algebras over G, killed by an explicit generator in a
+    third of the cases and by one or two avoided magnets, with a probe bound
+    from 0 to 16."""
+    rng = random.Random(seed)
+
+    def vec():
+        return [rng.randint(-2, 2) for _ in range(G.coord_count)]
+
+    for _ in range(count):
+        N0 = Submonoid.zero(G)
+        while not N0.generators or not is_sharp(N0):
+            N0 = Submonoid.generated_by(G, [vec() for _ in range(rng.randint(1, 3))])
+        explicit = ()
+        if rng.random() < 0.3:
+            explicit = (sum(rng.choices(N0.generators, k=rng.randint(1, 3)), G.zero()),)
+        avoided = tuple(random_avoided(rng, N0, vec) for _ in range(rng.randint(1, 2)))
+        yield MonoidAlgebra(N0, MonoidIdeal(N0, explicit, avoided)), rng.randint(0, 16)
+
+
+@pytest.mark.parametrize("G", SLICE_ROUTE_GROUPS, ids=lambda G: G.describe())
+def test_support_report_slice_route_matches_the_member_route(G):
+    for A, bound in slice_route_algebras(G, 60, G.coord_count * 100 + sum(G.torsion_orders)):
+        assert support_report(A, bound) == reference_support_report(A, bound), (A, bound)
+
+
+@dataclass(frozen=True)
+class AskedMagnet(Submonoid):
+    """A Submonoid that records every degree its contains method is asked."""
+
+    asked: list = field(default_factory=list, compare=False)
+
+    def contains(self, m):
+        self.asked.append(m)
+        return super().contains(m)
+
+
+def capped_slices(monkeypatch, A):
+    """Make every slice except the chart's own hit the node cap."""
+    real = graded._slice
+
+    def capped(N, bound, weights):
+        if N is not A.monoid:
+            raise ResourceLimitError("member enumeration exceeded 0 nodes")
+        return real(N, bound, weights)
+
+    monkeypatch.setattr(graded, "_slice", capped)
+
+
+@pytest.mark.parametrize("G", SLICE_ROUTE_GROUPS, ids=lambda G: G.describe())
+def test_a_capped_magnet_slice_falls_back_to_contains(monkeypatch, G):
+    for A, bound in slice_route_algebras(G, 15, G.coord_count * 7):
+        want = reference_support_report(A, bound)
+        with monkeypatch.context() as patch:
+            capped_slices(patch, A)
+            assert support_report(A, bound) == want, (A, bound)
+
+
+def test_a_sharp_magnet_is_asked_nothing_and_refuses_negative_degrees_after_a_cap(monkeypatch):
+    # the magnet [(1,0)> grades by w = (1,-1); (1,-1) has w-degree 2 and
+    # (1,2) has -1, and both escape it, so the support is {0}
+    N0 = Submonoid.generated_by(Z2, [[1, 2], [1, -1]])
+    want = SupportReport((Z2.zero(),), True, 1, False)
+    magnet = AskedMagnet(Z2, (Z2.element([1, 0]),))
+    A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,)))
+    assert positive_grading(magnet).covector == (1, -1)
+    assert support_report(A, 8) == want
+    assert magnet.asked == []
+    capped_slices(monkeypatch, A)
+    assert support_report(A, 8) == want
+    assert magnet.asked == [Z2.element([1, -1])]
+
+
+def test_kept_asks_units_once_per_monoid(monkeypatch):
+    G = FgAbelianGroup(2, (3,))
+    N0 = Submonoid.generated_by(G, [[1, 0, 0], [1, 1, 1], [1, -1, 2], [2, 1, 0]])
+    N = Submonoid.generated_by(G, [[1, 0, 0], [0, 1, 0]])
+    Q = attractor(MonoidAlgebra(N0), N).quotient
+    calls = Counter()
+    real = monoids.units
+
+    def counting(M):
+        calls[M] += 1
+        return real(M)
+
+    monkeypatch.setattr(monoids, "units", counting)
+    monkeypatch.setattr(graded, "units", counting)
+    clear_library_caches()
+    kept = graded._kept(Q)
+    assert G.zero() in kept and len(kept) < 1 + len(N0.generators)
+    assert calls == Counter({N0: 1})
+
+
+def test_free_attractor_asks_each_variable_once():
+    P = FreePoly.of(Z2, [("x", [1, 0]), ("y", [0, 1]), ("z", [-1, 0]), ("w", [1, 1])])
+    magnet = CountingMagnet(Submonoid.generated_by(Z2, [[1, 0], [0, 1]]))
+    res = attractor(P, magnet)
+    assert res.killed == ("z",)
+    assert sorted(magnet.asked) == sorted(P.degrees())
 
 
 def test_monoid_ideal_membership():
