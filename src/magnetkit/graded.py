@@ -20,8 +20,9 @@ degree that certifies a finite support.  An avoided magnet that is a sharp
 Submonoid is asked on its own slice in the same way.
 
 Each question goes to the monoid layer once: whether a monoid is a group or
-sharp is one cached verdict per monoid, read off one units call, and a
-free-chart attractor asks the magnet once per variable.
+sharp is one cached verdict per monoid (monoids.is_group and is_sharp read
+it off one units call), and a free-chart attractor asks the magnet once per
+variable.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .monoids import (
     bounded_members,
     intersection,
     is_face,
+    is_group,
+    is_sharp,
     positive_grading,
     units,
 )
@@ -136,15 +139,6 @@ class MonoidIdeal:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _shape(N: Submonoid) -> tuple[bool, bool]:
-    """(is_group(N), is_sharp(N)) from one units(N).  A generator of N is a
-    unit iff it is a generator of units(N), so N is a group when all of them
-    are and sharp when units(N) has none; the zero monoid is both."""
-    unit_gens = set(units(N).generators)
-    return all(g in unit_gens for g in N.generators), not unit_gens
-
-
-@lru_cache(maxsize=CACHE_SIZE)
 def _ideal_member(I: MonoidIdeal, m: GroupElement) -> bool:
     """Whether m, a member of I.ambient, lies in I."""
     N0 = I.ambient
@@ -152,13 +146,12 @@ def _ideal_member(I: MonoidIdeal, m: GroupElement) -> bool:
         if N0.contains(m - g):
             return True
     if I.avoided:
-        group, sharp = _shape(N0)
-        if group:
+        if is_group(N0):
             # in a group everything divides everything: all or nothing
             return any(
                 not a.contains(g) for a in I.avoided for g in N0.generators
             )
-        if not sharp:
+        if not is_sharp(N0):
             raise PreconditionError("ideal membership needs a sharp monoid or a group")
         # the peels of m are exactly its divisors, finitely many as N0 is sharp
         seen = {m}
@@ -272,7 +265,7 @@ def attractor(P: Presentation, N) -> AttractorResult:
         killed = tuple(v[0] for v, kept in zip(P.vars, inside) if not kept)
         return AttractorResult(killed, FreePoly(P.grading_group, survivors, P.coeff))
     if isinstance(P, MonoidAlgebra):
-        if not _shape(P.monoid)[1]:
+        if not is_sharp(P.monoid):
             raise SharpenRequiredError(
                 "monoid-algebra attractors need a sharp underlying monoid; "
                 "pass through sharp_quotient and reindex first"
@@ -336,7 +329,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     if not N0.generators:
         alive = A.survives(zero)
         return SupportReport((zero,) if alive else (), True, 0, False)
-    if _shape(N0)[0]:
+    if is_group(N0):
         if not A.survives(zero):
             return SupportReport((), True, 0, False)
         finite = all(all(c == 0 for c in g.free) for g in N0.generators)

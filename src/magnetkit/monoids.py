@@ -236,12 +236,21 @@ def units(N: Submonoid) -> Submonoid:
     return Submonoid(N.ambient, tuple(inv + [-g for g in inv]))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _shape(N: Submonoid) -> tuple[bool, bool]:
+    """(is_group(N), is_sharp(N)) from one units(N).  A generator of N is a
+    unit iff it is a generator of units(N), so N is a group when all of them
+    are and sharp when units(N) has none; the zero monoid is both."""
+    unit_gens = set(units(N).generators)
+    return all(g in unit_gens for g in N.generators), not unit_gens
+
+
 def is_group(N: Submonoid) -> bool:
-    return all(contains(N, -g) for g in N.generators)
+    return _shape(N)[0]
 
 
 def is_sharp(N: Submonoid) -> bool:
-    return not units(N).generators
+    return _shape(N)[1]
 
 
 def groupification(N: Submonoid) -> Submonoid:

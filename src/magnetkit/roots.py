@@ -6,18 +6,26 @@ Dimensions are computed at the weight-module level throughout: the adjoint
 module is weight 0 with the torus multiplicity plus one line per root, and
 Levi/parabolic/root-group dimensions come from weight attractors, matching
 the group-level objects line for line.
+
+Two routes decide membership.  A root magnet [alpha_i (i in P), -alpha_j
+(j in Q)> on simple roots (Levi, parabolic, and the sum and intersection
+of a square) is simplicial, so a root or zero lies in it by the sign
+pattern of its simple-root coordinates, computed once per root system
+(RootMagnet).  The solver (monoids.contains) decides the rest: faces of a
+square, closed root subsets and root groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import add
 
 from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import CACHE_SIZE, Submonoid, closed_sets, intersection, is_face
+from .monoids import CACHE_SIZE, Submonoid, closed_sets, is_face
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,9 @@ class RootSystem:
     roots: tuple[GroupElement, ...]
     basis: tuple[GroupElement, ...]
     positives: tuple[GroupElement, ...]
+    # each root and zero: (indices i with c_i > 0, indices i with c_i < 0),
+    # c its coordinates in the basis of simple roots
+    signs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Phi = set(self.roots)
@@ -45,12 +56,35 @@ class RootSystem:
             raise StructuralError("need basis inside positives inside roots")
         if pos | {-p for p in pos} != Phi or pos & {-p for p in pos}:
             raise StructuralError("positives must split the roots in halves")
-        cone = Submonoid(self.ambient, self.basis)
+        n = len(self.basis)
+        cols = [[b.coords[i] for b in self.basis] for i in range(self.lattice_rank)]
+        if linalg.smith(cols).rank != n:
+            raise StructuralError("the simple roots are linearly dependent")
+        # every positive root is a sum of simple roots whose partial sums are
+        # roots (Bourbaki, Lie Groups and Lie Algebras, ch. VI, 1.6, Cor. 1),
+        # so adding simple roots to the roots reached reaches them all; the
+        # simple roots are independent, so each coordinate vector is unique
+        targets = {p.coords for p in self.positives}
+        coords = {b.coords: tuple(int(j == i) for j in range(n))
+                  for i, b in enumerate(self.basis)}
+        todo = list(coords)
+        while todo:
+            p = todo.pop()
+            for i, b in enumerate(self.basis):
+                s = tuple(map(add, p, b.coords))
+                if s in targets and s not in coords:
+                    c = coords[p]
+                    coords[s] = c[:i] + (c[i] + 1,) + c[i + 1:]
+                    todo.append(s)
+        signs = {self.ambient.zero(): (frozenset(), frozenset())}
         for p in self.positives:
-            if not cone.contains(p):
+            if p.coords not in coords:
                 raise StructuralError(
                     "positive root %r is not a basis combination" % (p,)
                 )
+            up = frozenset(i for i, c in enumerate(coords[p.coords]) if c)
+            signs[p], signs[-p] = (up, frozenset()), (frozenset(), up)
+        object.__setattr__(self, "signs", signs)
 
     @property
     def ambient(self) -> FgAbelianGroup:
@@ -63,10 +97,9 @@ class ReductiveDatum:
     torus_rank: int
 
     def __post_init__(self):
-        rs = self.rootsystem
-        cols = [[r.coords[i] for r in rs.roots] for i in range(rs.lattice_rank)]
-        span_rank = linalg.smith(cols).rank
-        if self.torus_rank < span_rank:
+        # every root is an integer combination of the independent simple
+        # roots, so they span a lattice of rank len(basis)
+        if self.torus_rank < len(self.rootsystem.basis):
             raise StructuralError("torus rank below the rank of the root span")
 
 
@@ -124,6 +157,39 @@ class SubgroupReport:
     dim: int
 
 
+@dataclass(frozen=True)
+class RootMagnet:
+    """The magnet [alpha_i (i in up), -alpha_j (j in down)> on the simple
+    roots alpha of a root system, asked about its roots and zero.
+
+    The simple roots are independent, so the magnet holds exactly the
+    lattice points sum c_i alpha_i with c_i >= 0 off down, c_i <= 0 off up
+    and c_i = 0 off both: a root or zero lies in it iff every i with c_i > 0
+    is in up and every i with c_i < 0 is in down.  The sum of two such
+    magnets is the one of the unions, their intersection the one of the
+    intersections.
+    """
+
+    rootsystem: RootSystem
+    up: frozenset
+    down: frozenset
+
+    @property
+    def ambient(self) -> FgAbelianGroup:
+        return self.rootsystem.ambient
+
+    @property
+    def generators(self) -> tuple[GroupElement, ...]:
+        basis = self.rootsystem.basis
+        return tuple(basis[i] for i in self.up) + tuple(-basis[j] for j in self.down)
+
+    def contains(self, m: GroupElement) -> bool:
+        signs = self.rootsystem.signs.get(m)
+        if signs is None:
+            raise PreconditionError("%r is neither a root nor zero" % (m,))
+        return signs[0] <= self.up and signs[1] <= self.down
+
+
 def _trace(rs: RootSystem, magnet) -> frozenset:
     """The roots that lie in the magnet."""
     return frozenset(r for r in rs.roots if magnet.contains(r))
@@ -158,25 +224,30 @@ def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
     return frozenset(rs.roots[i] for i in _sum_closure(coords, idx, S))
 
 
-def _report(datum: ReductiveDatum, generators, kind: str, expected: frozenset,
-            trace_message: str) -> SubgroupReport:
-    """The magnet of the generators, its root trace crosschecked against
-    expected, and its attractor dimension crosschecked against the torus
-    rank plus the trace."""
+def _indices(rs: RootSystem, zeta) -> frozenset:
+    return frozenset(rs.basis.index(a) for a in zeta)
+
+
+def _report(datum: ReductiveDatum, up: frozenset, down: frozenset, kind: str,
+            expected: frozenset, trace_message: str) -> SubgroupReport:
+    """The magnet [alpha_i (i in up), -alpha_j (j in down)>, its root trace
+    crosschecked against expected, and its attractor dimension crosschecked
+    against the torus rank plus the trace."""
     rs = datum.rootsystem
-    magnet = Submonoid(rs.ambient, generators)
+    magnet = RootMagnet(rs, up, down)
     trace = _trace(rs, magnet)
     crosscheck(trace == expected, trace_message)
     dim = weight_attractor(adjoint_module(datum), magnet).dimension
     crosscheck(dim == datum.torus_rank + len(trace), "%s dimension bookkeeping failed", kind)
-    return SubgroupReport(magnet, trace, dim)
+    return SubgroupReport(Submonoid(rs.ambient, magnet.generators), trace, dim)
 
 
 def levi(datum: ReductiveDatum, zeta) -> SubgroupReport:
     """Magnet generated by zeta and its negatives; Levi root trace and dimension."""
     zeta = _check_zeta(datum, zeta)
+    Z = _indices(datum.rootsystem, zeta)
     # zeta and its negatives generate a group, so the trace is the span of zeta
-    return _report(datum, zeta + tuple(-a for a in zeta), "Levi", _span_roots(datum, zeta),
+    return _report(datum, Z, Z, "Levi", _span_roots(datum, zeta),
                    "Levi trace disagrees with the span computation")
 
 
@@ -185,7 +256,7 @@ def parabolic(datum: ReductiveDatum, zeta) -> SubgroupReport:
     trace is checked against the positives plus the Levi roots, by span."""
     zeta = _check_zeta(datum, zeta)
     rs = datum.rootsystem
-    return _report(datum, tuple(rs.basis) + tuple(-a for a in zeta), "parabolic",
+    return _report(datum, frozenset(range(len(rs.basis))), _indices(rs, zeta), "parabolic",
                    frozenset(rs.positives) | _span_roots(datum, zeta),
                    "parabolic trace is not positives plus Levi roots")
 
@@ -247,8 +318,10 @@ def cartesian_square(datum: ReductiveDatum, xi, zeta) -> CartesianSquareReport:
     the xi-parabolic magnet N' and its intersection N with the Levi, each
     report built once.  The set identity (the inner parabolic is the outer
     one minus the missing Levi part), the sum identity, and the dimension
-    identity are read off the reports' traces and dimensions; results are
-    reported rather than asserted so a failing hypothesis is visible.
+    identity are read off the reports' traces and dimensions; the sum L + N'
+    and N are root magnets too, decided by their sign rules, and whether L
+    is a face of L' goes to the solver.  Results are reported rather than
+    asserted so a failing hypothesis is visible.
     """
     xi = _check_zeta(datum, xi)
     zeta = _check_zeta(datum, zeta)
@@ -256,12 +329,13 @@ def cartesian_square(datum: ReductiveDatum, xi, zeta) -> CartesianSquareReport:
         raise PreconditionError("xi must be contained in zeta")
     rs = datum.rootsystem
     Lp, L, Np = parabolic(datum, zeta), levi(datum, zeta), parabolic(datum, xi)
-    N = intersection(L.magnet, Np.magnet)
     face_ok = is_face(L.magnet, Lp.magnet)
     # zero lies in all four magnets, and a root lies in N iff in L and in N'
     complement_ok = Np.roots == Lp.roots - (L.roots - Np.roots)
-    sum_monoid = Submonoid(rs.ambient, L.magnet.generators + Np.magnet.generators)
-    sum_ok = _trace(rs, sum_monoid) == Lp.roots
+    # L is [alpha_i, -alpha_i (i in Z)> and N' is [alpha_i (all i), -alpha_j (j in X)>
+    Z, X, every = _indices(rs, zeta), _indices(rs, xi), frozenset(range(len(rs.basis)))
+    sum_ok = _trace(rs, RootMagnet(rs, Z | every, Z | X)) == Lp.roots
+    N = RootMagnet(rs, Z & every, Z & X)
     dims = (Lp.dim, Np.dim, L.dim, weight_attractor(adjoint_module(datum), N).dimension)
     identity_ok = dims[0] + dims[3] == dims[2] + dims[1]
     return CartesianSquareReport(dims, face_ok, complement_ok, sum_ok, identity_ok)

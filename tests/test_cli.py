@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnetkit
+from magnetkit import cohomology
 from magnetkit.cli import _compile, _schema, _validator, accepts, main
 
 SRC = pathlib.Path(magnetkit.__file__).parent.parent
@@ -640,6 +641,42 @@ def test_cohomology_non_cocycle_fails(tmp_path):
     )
     r = run("cohomology", "--input", path)
     assert r.exit_code == 1
+
+
+NON_COCYCLE = {
+    "group": {"free_rank": 1},
+    "weights": [{"degree": [3], "label": "e"}],
+    "cochain": {"arity": 1, "entries": [
+        {"args": [[0]], "value": {"e": "1"}},
+        {"args": [[3]], "value": {"e": "-2"}},
+    ]},
+}
+
+
+@pytest.mark.parametrize("cocycle", [True, False])
+def test_cohomology_takes_one_coboundary_of_an_arity_one_cochain(tmp_path, monkeypatch, cocycle):
+    # the primitive's own obstruction decides the cocycle question; the
+    # other call is the crosscheck of the primitive, one arity down
+    calls = []
+    real = cohomology.differential
+
+    def counting(c):
+        calls.append(c.arity)
+        return real(c)
+
+    monkeypatch.setattr(cohomology, "differential", counting)
+    if cocycle:
+        path = str(pathlib.Path(__file__).parent.parent / "examples" / "cocycle.json")
+    else:
+        path = write(tmp_path, "bad_cocycle.json", NON_COCYCLE)
+    r = run("cohomology", "--input", path)
+    if cocycle:
+        assert (r.exit_code, r.stdout) == (0, "cocycle: True\nprimitive: e -> -1\n")
+        assert calls == [1, 0]
+    else:
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr.startswith("error: no primitive: ")
+        assert calls == [1]
 
 
 ARITY_THREE_COBOUNDARY = {

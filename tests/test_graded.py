@@ -423,6 +423,28 @@ def test_kept_asks_units_once_per_monoid(monkeypatch):
     assert calls == Counter({N0: 1})
 
 
+def test_support_report_asks_units_once_per_monoid(monkeypatch):
+    # positive_grading's sharpness check reads the verdict that the group
+    # test of N0 already holds, and so does the avoided magnet's
+    G = FgAbelianGroup(2)
+    N0 = Submonoid.generated_by(G, [[1, 0], [0, 1], [1, 1]])
+    a = Submonoid.generated_by(G, [[1, 0], [1, 1]])
+    A = attractor(MonoidAlgebra(N0), a).quotient
+    calls = Counter()
+    real = monoids.units
+
+    def counting(M):
+        calls[M] += 1
+        return real(M)
+
+    monkeypatch.setattr(monoids, "units", counting)
+    monkeypatch.setattr(graded, "units", counting)
+    clear_library_caches()
+    rep = support_report(A, probe_bound=6)
+    assert G.element([1, 0]) in rep.members and G.element([0, 1]) not in rep.members
+    assert calls == Counter({N0: 1, a: 1})
+
+
 def test_free_attractor_asks_each_variable_once():
     P = FreePoly.of(Z2, [("x", [1, 0]), ("y", [0, 1]), ("z", [-1, 0]), ("w", [1, 1])])
     magnet = CountingMagnet(Submonoid.generated_by(Z2, [[1, 0], [0, 1]]))

@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from magnetkit.atlases import EquivariantAtlas, enumerate_magnets
 from magnetkit.errors import PreconditionError, ResourceLimitError, StructuralError
+from magnetkit.groups import FgAbelianGroup
 from magnetkit.monoids import (
+    Intersection,
     Submonoid,
     is_face,
     pushout_complement,
@@ -13,6 +16,9 @@ from magnetkit.monoids import (
     units,
 )
 from magnetkit.roots import (
+    ReductiveDatum,
+    RootMagnet,
+    RootSystem,
     adjoint_module,
     build,
     cartesian_square,
@@ -274,3 +280,120 @@ def test_levi_trace_is_the_span_for_a4():
         assert L.dim == d.torus_rank + len(L.roots)
     assert levi(d, (basis[0], basis[3])).dim == 5 + 4
     assert levi(d, (basis[1], basis[2])).dim == 5 + 6
+
+
+# --- root magnets by simple-root coordinates ---------------------------------
+
+
+def _moved(datum, perm, signs, scale):
+    """The datum with its lattice moved by a signed permutation of the
+    coordinates, times a positive scale."""
+    rs = datum.rootsystem
+    G = rs.ambient
+
+    def move(elements):
+        out = []
+        for r in elements:
+            v = [0] * rs.lattice_rank
+            for i, c in enumerate(r.coords):
+                v[perm[i]] = signs[i] * scale * c
+            out.append(G.element(v))
+        return tuple(out)
+
+    moved = RootSystem(rs.lattice_rank, move(rs.roots), move(rs.basis), move(rs.positives))
+    return ReductiveDatum(moved, datum.torus_rank)
+
+
+ROOT_TYPES = ["A1", "A2", "A3", "A4", "B2", "G2"]
+
+
+def _datum(name, move):
+    d = build(name)
+    n = d.rootsystem.lattice_rank
+    rng = random.Random("%s-%s" % (name, move))
+    if move == "signed":
+        return _moved(d, rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)], 1)
+    if move == "scaled":
+        return _moved(d, range(n), [1] * n, rng.randint(300, 999))
+    return d
+
+
+@pytest.mark.parametrize("move", ["fixed", "signed", "scaled"])
+@pytest.mark.parametrize("name", ROOT_TYPES)
+def test_root_magnets_agree_with_the_solver(name, move):
+    # the sign rule against monoids.contains on every root and zero: the Levi
+    # and parabolic magnet of every zeta, and the sum and the intersection of
+    # the Levi of zeta with the parabolic of every xi inside zeta
+    rs = _datum(name, move).rootsystem
+    points = (rs.ambient.zero(),) + rs.roots
+    every = frozenset(range(len(rs.basis)))
+    subsets = [frozenset(c) for k in range(len(every) + 1)
+               for c in itertools.combinations(sorted(every), k)]
+
+    def solver(up, down):
+        return Submonoid(rs.ambient, tuple(rs.basis[i] for i in up)
+                         + tuple(-rs.basis[j] for j in down))
+
+    def agree(rule, reference):
+        assert [rule.contains(x) for x in points] == [reference.contains(x) for x in points]
+
+    for Z in subsets:
+        L, Lp = solver(Z, Z), solver(every, Z)
+        agree(RootMagnet(rs, Z, Z), L)
+        agree(RootMagnet(rs, every, Z), Lp)
+        for X in (X for X in subsets if X <= Z):
+            Np = solver(every, X)
+            agree(RootMagnet(rs, Z | every, Z | X),
+                  Submonoid(rs.ambient, L.generators + Np.generators))
+            agree(RootMagnet(rs, Z & every, Z & X), Intersection((L, Np)))
+
+
+@pytest.mark.parametrize("move", ["signed", "scaled"])
+@pytest.mark.parametrize("name", ["A3", "B2", "G2"])
+def test_moved_data_keep_their_squares(name, move):
+    d, m = build(name), _datum(name, move)
+    subsets = [c for k in range(len(d.rootsystem.basis) + 1)
+               for c in itertools.combinations(range(len(d.rootsystem.basis)), k)]
+
+    def pick(datum, ix):
+        return tuple(datum.rootsystem.basis[i] for i in ix)
+
+    for zeta in subsets:
+        for xi in (xi for xi in subsets if set(xi) <= set(zeta)):
+            rep = cartesian_square(m, pick(m, xi), pick(m, zeta))
+            assert rep == cartesian_square(d, pick(d, xi), pick(d, zeta))
+            assert rep.passed
+
+
+def test_root_magnets_refuse_other_weights():
+    rs = build("A2").rootsystem
+    with pytest.raises(PreconditionError):
+        RootMagnet(rs, frozenset({0}), frozenset()).contains(rs.ambient.element([2, -2, 0]))
+
+
+def _root_system(rank, basis, positives):
+    G = FgAbelianGroup(rank)
+    mk = lambda cs: tuple(G.element(c) for c in cs)
+    roots = positives + [tuple(-c for c in p) for p in positives]
+    return RootSystem(rank, mk(roots), mk(basis), mk(positives))
+
+
+def test_dependent_simple_roots_are_refused():
+    # (2) and (3) pass every other check: 5 = 2 + 3 is a root, no double is
+    with pytest.raises(StructuralError, match="linearly dependent"):
+        _root_system(1, [(2,), (3,)], [(2,), (3,), (5,)])
+
+
+@pytest.mark.parametrize("positives", [
+    [(1, 0), (0, 1), (1, -1)],  # not a nonnegative combination
+    [(1, 0), (0, 1), (1, 2)],  # a nonnegative one, but (1, 1) is no root
+])
+def test_positive_roots_off_the_simple_root_sums_are_refused(positives):
+    with pytest.raises(StructuralError, match="not a basis combination"):
+        _root_system(2, [(1, 0), (0, 1)], positives)
+
+
+def test_torus_rank_is_at_least_the_number_of_simple_roots():
+    with pytest.raises(StructuralError, match="torus rank below"):
+        ReductiveDatum(build("A2").rootsystem, 1)
+    assert ReductiveDatum(build("A2").rootsystem, 2).torus_rank == 2
