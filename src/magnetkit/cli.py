@@ -1,13 +1,13 @@
 """Command-line frontend.
 
 One subcommand per library area.  Input is a JSON problem file validated
-against the shipped schema before anything is built, by a predicate compiled
-from the schema at import; jsonschema is imported only to word the error of a
-file the predicate rejects.  Output is deterministic
-text, canonical JSON with --json, or DOT where a diagram exists.  Exit codes:
-0 success, 1 computation or identity failure, 2 schema/usage error,
-3 resource limit.  The wire format is integers and rational strings, never
-floats.
+against the shipped schema before anything is built, by a check compiled
+from the schema at import: it decides whether a file is accepted and words
+the error of one it rejects, with no validator library at run time.  Output
+is deterministic text, canonical JSON with --json, or DOT where a diagram
+exists.  Exit codes: 0 success, 1 computation or identity failure,
+2 schema/usage error, 3 resource limit.  The wire format is integers and
+rational strings, never floats.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numbers
 import re
 import sys
 from fractions import Fraction
-from functools import cache, wraps
+from functools import wraps
 from importlib import resources
 
 import click
@@ -26,7 +26,7 @@ import click
 from .atlases import EquivariantAtlas, enumerate_magnets
 from .bundles import DilatationSetup, bb_bundle, dilatation_attractor_check
 from .cohomology import Cochain, GradedFreeModule, h1_zero_suite, is_cocycle, primitive
-from .errors import MagnetError, ResourceLimitError, SchemaError, crosscheck
+from .errors import MagnetError, ResourceLimitError, SchemaError
 from .graded import (
     FreePoly,
     MonoidAlgebra,
@@ -53,30 +53,11 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _inline_refs(schema: dict) -> dict:
-    """A copy of schema with each {"$ref": "#/$defs/x"} replaced by the
-    definition x, itself inlined (no definition refers to itself).
-
-    Validating against the copy walks no references, and it reports the same
-    errors at the same paths: the only message that quotes a subschema is
-    oneOf's, and its branches hold no $ref.
-    """
-    defs = schema["$defs"]
-
-    def inline(node):
-        if isinstance(node, list):
-            return [inline(v) for v in node]
-        if not isinstance(node, dict):
-            return node
-        if set(node) == {"$ref"}:
-            return inline(defs[node["$ref"].removeprefix("#/$defs/")])
-        return {k: inline(v) for k, v in node.items()}
-
-    return inline(schema)
-
-
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
 _TYPES = {"object": dict, "array": list, "string": str}
+
+# the errors of an instance that has none, shared by every check
+_VALID = ()
 
 
 def _is_integer(x) -> bool:
@@ -87,67 +68,154 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
 
-def _compile(node):
-    """The predicate of one inlined schema node: True exactly when Draft
-    2020-12 validation of the instance against node finds no error.
+def _error(message: str) -> tuple:
+    """One error at the instance itself."""
+    return (((), message),)
 
-    Each keyword checks only instances of its own type, as in jsonschema; a
-    bool is no integer, and pattern is re.search.  Instances are documents as
-    json.load reads them with parse_float=Decimal, so they hold no floats.
-    A keyword without a check here raises ValueError naming it.
+
+def _under(key, errors: tuple) -> tuple:
+    """The errors of the entry key of an instance, as errors of the instance."""
+    return tuple(((key,) + path, message) for path, message in errors)
+
+
+def _compile(node, refs: dict):
+    """The check of one schema node: a function from an instance to every
+    error Draft 2020-12 validation finds in it, as (path, message) pairs,
+    path the tuple of keys and indices from the instance to the offending
+    value, and the shared _VALID when there is none.
+
+    Order and wording are those of the reference validator the tests compare
+    against (Draft202012Validator, release 4.26): keywords in the node's
+    order, and each keyword's errors in the order that validator yields
+    them, except that a schema-valued additionalProperties reports its extra
+    keys in the document's order; they lie at distinct paths, so the first
+    error by location is the same.  Each keyword checks only instances of
+    its own type; a bool is no integer, and pattern is re.search.  Instances
+    are documents as json.load reads them with parse_float=Decimal, so the
+    only floats are NaN and the infinities.  A $ref is compiled in place
+    from the node refs maps it to (no node refers to itself), so a check
+    walks no references.  A keyword without a check here raises ValueError
+    naming it.
     """
-    if isinstance(node, bool):
-        return (lambda x: True) if node else (lambda x: False)
-    checks = [_keyword(key, value, node) for key, value in node.items()
+    checks = [_keyword(key, value, node, refs) for key, value in node.items()
               if key not in _ANNOTATIONS]
+    if len(checks) == 1:
+        return checks[0]
 
-    def all_pass(x):
+    def errors(x):
+        found = _VALID
         for check in checks:
-            if not check(x):
-                return False
-        return True
+            e = check(x)
+            if e:
+                found += e
+        return found
 
-    return all_pass
+    return errors
 
 
-def _keyword(key, value, node):
+def _keyword(key, value, node, refs):
     """The check of one keyword of node, value its argument."""
+    if key == "$ref" and value in refs:
+        return _compile(refs[value], refs)
     if key == "type" and value == "integer":
-        return _is_integer
+        return lambda x: _VALID if _is_integer(x) else _error(
+            f"{x!r} is not of type 'integer'")
     if key == "type" and value in ("object", "array", "string"):
         cls = _TYPES[value]
-        return lambda x: isinstance(x, cls)
+        return lambda x: _VALID if isinstance(x, cls) else _error(
+            f"{x!r} is not of type {value!r}")
     if key == "properties":
-        subs = [(name, _compile(sub)) for name, sub in value.items()]
-        return lambda x: not isinstance(x, dict) or all(
-            sub(x[name]) for name, sub in subs if name in x)
+        subs = [(name, _compile(sub, refs)) for name, sub in value.items()]
+
+        def properties(x):
+            found = _VALID
+            if isinstance(x, dict):
+                for name, sub in subs:
+                    if name in x:
+                        e = sub(x[name])
+                        if e:
+                            found += _under(name, e)
+            return found
+
+        return properties
     if key == "additionalProperties":
         known = frozenset(node.get("properties", ()))
-        sub = _compile(value)
-        return lambda x: not isinstance(x, dict) or all(
-            sub(v) for k, v in x.items() if k not in known)
+        if value is False:
+            def no_extras(x):
+                if not isinstance(x, dict) or known.issuperset(x):
+                    return _VALID
+                extras = sorted(k for k in x if k not in known)
+                return _error("Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+
+            return no_extras
+        sub = _compile(value, refs)
+
+        def extras(x):
+            found = _VALID
+            if isinstance(x, dict):
+                for k, v in x.items():
+                    if k not in known:
+                        e = sub(v)
+                        if e:
+                            found += _under(k, e)
+            return found
+
+        return extras
     if key == "required":
-        return lambda x: not isinstance(x, dict) or all(name in x for name in value)
+        need = frozenset(value)
+
+        def required(x):
+            if not isinstance(x, dict) or x.keys() >= need:
+                return _VALID
+            return tuple(((), f"{name!r} is a required property")
+                         for name in value if name not in x)
+
+        return required
     if key == "items":
-        sub = _compile(value)
-        return lambda x: not isinstance(x, list) or all(map(sub, x))
-    if key == "minItems":
-        return lambda x: not isinstance(x, list) or len(x) >= value
+        sub = _compile(value, refs)
+
+        def items(x):
+            if not isinstance(x, list):
+                return _VALID
+            found = list(map(sub, x))
+            if not any(found):
+                return _VALID
+            return tuple(err for i, e in enumerate(found) if e for err in _under(i, e))
+
+        return items
+    if key in ("minItems", "minLength"):
+        cls = list if key == "minItems" else str
+        short = "should be non-empty" if value == 1 else "is too short"
+        return lambda x: _error(f"{x!r} {short}") if (
+            isinstance(x, cls) and len(x) < value) else _VALID
     if key == "minimum":
-        return lambda x: not _is_number(x) or x >= value
+        return lambda x: _error(f"{x!r} is less than the minimum of {value!r}") if (
+            _is_number(x) and x < value) else _VALID
     if key == "maximum":
-        return lambda x: not _is_number(x) or x <= value
+        return lambda x: _error(f"{x!r} is greater than the maximum of {value!r}") if (
+            _is_number(x) and x > value) else _VALID
     if key == "enum" and all(isinstance(v, str) for v in value):
-        # jsonschema compares a string only by ==, so membership is exact
-        return lambda x: x in value
-    if key == "minLength":
-        return lambda x: not isinstance(x, str) or len(x) >= value
+        # Draft 2020-12 compares a string only by ==, so membership is exact
+        return lambda x: _VALID if x in value else _error(f"{x!r} is not one of {value!r}")
     if key == "pattern":
         search = re.compile(value).search
-        return lambda x: not isinstance(x, str) or search(x) is not None
+        return lambda x: _error(f"{x!r} does not match {value!r}") if (
+            isinstance(x, str) and search(x) is None) else _VALID
     if key == "oneOf":
-        subs = [_compile(sub) for sub in value]
-        return lambda x: sum(sub(x) for sub in subs) == 1
+        subs = [(sub, _compile(sub, refs)) for sub in value]
+
+        def one_of(x):
+            valid = [sub for sub, check in subs if not check(x)]
+            if not valid:
+                return _error(f"{x!r} is not valid under any of the given schemas")
+            if len(valid) == 1:
+                return _VALID
+            # the reference lists the later valid branches, then the first
+            return _error(f"{x!r} is valid under each of "
+                          + ", ".join(map(repr, valid[1:] + valid[:1])))
+
+        return one_of
     raise ValueError("schema keyword %r has no compiled check (argument %r)"
                      % (key, value))
 
@@ -155,16 +223,9 @@ def _keyword(key, value, node):
 # compiled once, when the module loads, and kept as a constant rather than a
 # cached builder, so clearing the library's caches does not compile it again;
 # load_problem checks every file with it
-accepts = _compile(_inline_refs(_schema()))
-
-
-@cache
-def _validator():
-    """The jsonschema validator that words why a document was rejected."""
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(_inline_refs(_schema()))
-
+_SCHEMA = _schema()
+schema_errors = _compile(
+    _SCHEMA, {"#/$defs/" + name: node for name, node in _SCHEMA["$defs"].items()})
 
 _MESSAGE_CHARS = 200
 
@@ -177,12 +238,10 @@ def _clip(message: str) -> str:
 def load_problem(path: str) -> dict:
     """Read and check one problem file; any fault is a located SchemaError.
 
-    The document is checked against the shipped schema by accepts, the
-    predicate compiled at import from the schema with its references inlined,
-    then for the coordinate lengths the schema cannot express.  Only a
-    rejected document builds the jsonschema validator (once per process),
-    whose first error, by location, is the one reported; that it finds one
-    is crosschecked.
+    The document is checked against the shipped schema by schema_errors, the
+    check compiled from it at import, then for the coordinate lengths the
+    schema cannot express.  Of the schema errors of a rejected document, the
+    first by location is reported.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -193,16 +252,19 @@ def load_problem(path: str) -> dict:
         # malformed JSON, bytes that are not UTF-8, an integer past the
         # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
-    if not accepts(doc):
+    try:
+        problems = schema_errors(doc)
+    except RecursionError as e:
+        # a message quotes the offending value, and the repr of a value
+        # nested almost as deep as json.load allows can pass the limit
+        raise SchemaError("nested too deep to check: %s" % e, location=path)
+    if problems:
         # where two paths first differ they index the same node, so both
-        # entries are keys or both are list indices, and indices compare as ints
-        problems = sorted(
-            _validator().iter_errors(doc), key=lambda e: list(e.absolute_path)
-        )
-        crosscheck(problems, "the schema validator finds no error in a rejected document")
-        first = problems[0]
-        loc = "/".join(str(p) for p in first.absolute_path) or "(top level)"
-        raise SchemaError(_clip(first.message), location=loc)
+        # entries are keys or both are list indices, and indices compare as
+        # ints; of equal paths, min keeps the first, as a stable sort does
+        where, message = min(problems, key=lambda e: e[0])
+        loc = "/".join(map(str, where)) or "(top level)"
+        raise SchemaError(_clip(message), location=loc)
     _check_coordinate_lengths(doc)
     return doc
 

@@ -40,7 +40,7 @@ from .errors import (
     StructuralError,
     crosscheck,
 )
-from .groups import FgAbelianGroup, GroupElement, GroupHom
+from .groups import FgAbelianGroup, GroupElement, GroupHom, as_int
 from .monoids import (
     CACHE_SIZE,
     Submonoid,
@@ -205,15 +205,16 @@ class WeightModule:
     weights: tuple[tuple[GroupElement, int, Optional[str]], ...]
 
     def __post_init__(self):
-        for w, mult, _ in self.weights:
+        rows = []
+        for w, mult, label in self.weights:
             if w.ambient != self.grading_group:
                 raise StructuralError("weight outside the grading group")
+            mult = as_int(mult, "a multiplicity")
             if mult < 1:
                 raise StructuralError("multiplicities must be >= 1")
+            rows.append((w, mult, label))
         object.__setattr__(
-            self,
-            "weights",
-            tuple(sorted(self.weights, key=lambda e: (e[0], e[2] or "", e[1]))),
+            self, "weights", tuple(sorted(rows, key=lambda e: (e[0], e[2] or "", e[1])))
         )
 
     @classmethod
@@ -223,7 +224,7 @@ class WeightModule:
         for e in entries:
             coords, mult = e[0], e[1]
             label = e[2] if len(e) > 2 else None
-            rows.append((group.element(coords), int(mult), label))
+            rows.append((group.element(coords), mult, label))
         return cls(group, tuple(rows))
 
     @property

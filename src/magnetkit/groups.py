@@ -15,17 +15,28 @@ from typing import Iterable, Sequence
 from .errors import StructuralError
 
 
+def as_int(value, what: str) -> int:
+    """value as an int, through operator.index: int() would truncate 2.7
+    and parse '3', so anything but an integer raises StructuralError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise StructuralError("%s must be an integer, got %r" % (what, value)) from None
+
+
 @dataclass(frozen=True, order=True)
 class FgAbelianGroup:
     free_rank: int
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        free_rank = as_int(self.free_rank, "free_rank")
+        if free_rank < 0:
             raise StructuralError("free_rank must be nonnegative")
-        orders = tuple(int(n) for n in self.torsion_orders)
+        orders = tuple(as_int(n, "a torsion order") for n in self.torsion_orders)
         if any(n < 2 for n in orders):
             raise StructuralError("torsion orders must be >= 2, got %r" % (orders,))
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion_orders", tuple(sorted(orders)))
 
     @property

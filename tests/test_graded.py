@@ -580,6 +580,17 @@ def test_weight_module_validation():
         WeightModule.of(Z, [([1], 0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WeightModule.of(Z, [([1], 1.9)]),
+    lambda: WeightModule(Z, ((Z.element([1]), 1.9, None),)),
+], ids=["of", "constructor"])
+def test_a_fractional_multiplicity_is_refused(build):
+    # int() would keep the weight with multiplicity 1; kept as given, the
+    # module would have dimension 1.9
+    with pytest.raises(StructuralError, match="^a multiplicity must be an integer, got 1.9$"):
+        build()
+
+
 # --- closed inclusions ------------------------------------------------------------
 
 

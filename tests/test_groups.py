@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,17 @@ def test_torsion_orders_below_two_rejected():
         FgAbelianGroup(0, (0,))
     with pytest.raises(StructuralError):
         FgAbelianGroup(-1, ())
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, (2.7,)), "a torsion order must be an integer, got 2.7"),
+    ((1, ("3",)), "a torsion order must be an integer, got '3'"),
+    ((1.5,), "free_rank must be an integer, got 1.5"),
+], ids=["float-order", "string-order", "float-rank"])
+def test_group_invariants_must_be_integers(args, message):
+    # int() would make the first Z x Z/2, the second Z x Z/3
+    with pytest.raises(StructuralError, match="^%s$" % re.escape(message)):
+        FgAbelianGroup(*args)
 
 
 def test_element_reduces_torsion_coordinates():
