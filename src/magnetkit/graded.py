@@ -346,16 +346,13 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     def reduced(coords):
         return coords[:r] + tuple(map(mod, coords[r:], orders)) if orders else coords
 
-    def element(coords):
-        return GroupElement(G, coords[:r], coords[r:])
-
     h = positive_grading(N0).degree
     weights = [h(g) for g in N0.generators]
     maxh = max(weights)
     I = A.killed
     explicit = [g.coords for g in I.generators]
     peels = [g.coords for g in N0.generators]
-    inside = [_magnet_test(a, element) for a in I.avoided]
+    inside = [_magnet_test(a) for a in I.avoided]
     S = _slice(N0, probe_bound, weights)
     levels: dict[int, list[tuple]] = {}
     for m, d in S.items():
@@ -374,7 +371,7 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
                 survivors.append(m)
                 free_from = B + maxh
         if B >= free_from:
-            members = tuple(map(element, sorted(survivors)))
+            members = tuple(GroupElement(G, m) for m in sorted(survivors))
             return SupportReport(members, True, B, any(not m.is_zero() for m in members))
     # k * h(m) <= probe_bound puts k * m in the slice, so it is decided
     witnessed = any(
@@ -383,11 +380,11 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
         if any(m)
         for k in range(2, probe_bound // S[m] + 1)
     )
-    members = tuple(map(element, sorted(survivors)))
+    members = tuple(GroupElement(G, m) for m in sorted(survivors))
     return SupportReport(members, None, None, True if witnessed else None)
 
 
-def _magnet_test(a, element: Callable[[tuple], GroupElement]) -> Callable[[tuple], bool]:
+def _magnet_test(a) -> Callable[[tuple], bool]:
     """Membership in the magnet a, asked on reduced coordinate tuples.
 
     A sharp Submonoid with generators answers from its own slice: with w its
@@ -400,7 +397,7 @@ def _magnet_test(a, element: Callable[[tuple], GroupElement]) -> Callable[[tuple
     when its slice hits the node cap.
     """
     def ask(m):
-        return a.contains(element(m))
+        return a.contains(GroupElement(a.ambient, m))
 
     if not (isinstance(a, Submonoid) and a.generators):
         return ask

@@ -1,15 +1,17 @@
 """Finitely generated abelian groups and their elements.
 
 A group is Z^free_rank x Z/n_1 x ... x Z/n_t with the torsion orders stored in
-nondecreasing order.  Elements store free coordinates as plain ints and
-torsion coordinates reduced to canonical residues, so dataclass equality is
-semantic equality.
+nondecreasing order.  An element is its ambient group and one tuple of
+coordinates: the free ones as plain ints, then the torsion ones reduced to
+canonical residues, so dataclass equality is semantic equality.  The hash
+reads the coordinates alone; elements of different groups with the same
+coordinates hash alike and still compare unequal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
+from operator import index, mod
 from typing import Iterable, Sequence
 
 from .errors import StructuralError
@@ -60,11 +62,10 @@ class FgAbelianGroup:
                 "expected %d coordinates for %r, got %d"
                 % (self.coord_count, self, len(coords))
             )
-        free = coords[: self.free_rank]
-        tors = tuple(
-            c % n for c, n in zip(coords[self.free_rank :], self.torsion_orders)
-        )
-        return GroupElement(self, free, tors)
+        r = self.free_rank
+        if self.torsion_orders:
+            coords = coords[:r] + tuple(map(mod, coords[r:], self.torsion_orders))
+        return GroupElement(self, coords)
 
     def zero(self) -> GroupElement:
         return self.element((0,) * self.coord_count)
@@ -88,21 +89,25 @@ class FgAbelianGroup:
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
-    # Ordered so sorted tuples of elements are canonical; comparison is only
-    # meaningful within one ambient group.
-    ambient: FgAbelianGroup = field(compare=False)
-    free: tuple[int, ...]
-    torsion: tuple[int, ...]
+    # Build through FgAbelianGroup.element, which also refuses non-integers
+    # and reduces the torsion coordinates; a caller holding coordinates
+    # already in that form may construct directly.  Within one group the
+    # order is lexicographic on coords, so sorted tuples of elements are
+    # canonical.  Equality compares the ambient group too, the hash skips it.
+    ambient: FgAbelianGroup = field(hash=False)
+    coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.free) != self.ambient.free_rank or len(self.torsion) != len(
-            self.ambient.torsion_orders
-        ):
+        if len(self.coords) != self.ambient.coord_count:
             raise StructuralError("coordinate shape does not match ambient group")
 
     @property
-    def coords(self) -> tuple[int, ...]:
-        return self.free + self.torsion
+    def free(self) -> tuple[int, ...]:
+        return self.coords[: self.ambient.free_rank]
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return self.coords[self.ambient.free_rank :]
 
     def __add__(self, other: GroupElement) -> GroupElement:
         _check_same_ambient(self, other)
@@ -120,14 +125,6 @@ class GroupElement:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.ambient == other.ambient and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.ambient, self.coords))
 
     def __repr__(self):
         return "(" + ",".join(str(c) for c in self.coords) + ")"

@@ -102,7 +102,10 @@ def simplex(A: Sequence[Sequence[int]], b: Sequence[int]) -> LPResult:
 
 def _pivot(rows: list[list[int]], r: int, j: int, d: int) -> int:
     """Pivot the integer tableau rows over the common denominator d on
-    entry (r, j) in place, and return the new common denominator."""
+    entry (r, j) in place, and return the new common denominator.
+
+    The pivot p = rows[r][j] is > 0: the ratio test picks only a leaving row
+    whose entering entry is positive, so p is the new denominator as it is."""
     pivot_row = rows[r]
     p = pivot_row[j]
     for k, row in enumerate(rows):
@@ -113,7 +116,4 @@ def _pivot(rows: list[list[int]], r: int, j: int, d: int) -> int:
             row[:] = [(p * v - f * q) // d for v, q in zip(row, pivot_row)]
         elif p != d:
             row[:] = [p * v // d for v in row]
-    if p < 0:
-        for row in rows:
-            row[:] = [-v for v in row]
-    return abs(p)
+    return p

@@ -603,9 +603,8 @@ def bounded_members(N: Submonoid, bound: int,
     approximation and is used where the caller says so.
     """
     G = N.ambient
-    r = G.free_rank
     weights = [0 if degree is None else degree(g) for g in N.generators]
-    return {GroupElement(G, x[:r], x[r:]) for x, d in _slice(N, bound, weights).items()
+    return {GroupElement(G, x) for x, d in _slice(N, bound, weights).items()
             if degree is None or d <= bound}
 
 
@@ -655,12 +654,7 @@ def sharp_quotient(N: Submonoid) -> SharpQuotient:
 
     def project(m: GroupElement) -> GroupElement:
         y = [linalg.dot(row, m.coords) for row in sm.Sinv]
-        coords = []
-        for pos in free_positions:
-            coords.append(y[pos])
-        for pos in torsion_positions:
-            coords.append(y[pos] % diag[pos])
-        return qgroup.element(coords)
+        return qgroup.element(y[pos] for pos in positions)
 
     projection = GroupHom(M, qgroup, tuple(project(b) for b in M.basis_elements()))
     image = Submonoid(qgroup, tuple(projection.apply(g) for g in N.generators))

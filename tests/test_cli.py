@@ -676,6 +676,37 @@ def test_roots_bad_simple_name():
     assert r.exit_code == 2
 
 
+def test_roots_levi():
+    doc = json.loads(run("roots", "--type", "B2", "--levi", "a1", "--json").output)
+    assert doc["levi_dim"] == 4
+    assert doc["levi_roots"] == [[-1, 1], [1, -1]]
+    r = run("roots", "--type", "A3", "--levi", "a1,a3")
+    assert r.exit_code == 0
+    assert r.output == "type A3, zeta a1,a3: L: 8\n"
+
+
+@pytest.mark.parametrize("name, root, attractor_dim", [
+    ("A2", "[1,-1,0]", 4),
+    ("G2", "[3,2]", 3),
+])
+def test_roots_attractor_of_one_root(name, root, attractor_dim):
+    r = run("roots", "--type", name, "--root", root, "--json")
+    assert r.exit_code == 0
+    doc = json.loads(r.output)
+    assert doc["attractor_dim"] == attractor_dim
+    assert doc["unit_limit_dim"] == 1
+
+
+def test_roots_without_a_root_system_are_schema_errors(tmp_path):
+    r = run("roots")
+    assert r.exit_code == 2
+    assert r.stderr == "schema error: give --type or --input with a rootsystem block\n"
+    path = write(tmp_path, "group_only.json", {"group": {"free_rank": 1}})
+    r = run("roots", "--input", path)
+    assert r.exit_code == 2
+    assert r.stderr == "schema error at rootsystem: file has no rootsystem block\n"
+
+
 @pytest.mark.parametrize("args, flag", [
     (("--levi", "b1"), "--levi"),
     (("--parabolic", "a1,a3"), "--parabolic"),

@@ -816,6 +816,26 @@ def test_reindex_matches_preimage_attractor():
     assert direct.killed == pushed.killed
 
 
+def test_reindex_weight_module_commutes_with_the_weight_attractor():
+    W = WeightModule.of(Z2, [([1, 0], 1, "a"), ([0, -1], 2, "b"), ([2, -1], 1),
+                             ([1, -1], 1, "z"), ([-1, -1], 3, "c")])
+    f = hom_from_matrix(Z2, Z, [[1], [1]])
+    pushed = weight_attractor(reindex(W, f), NAT)
+    assert pushed == reindex(weight_attractor(W, PreimageMonoid(f, NAT)), f)
+    assert pushed.grading_group == Z
+    assert pushed.weights == ((Z.zero(), 1, "z"), (Z.element([1]), 1, None),
+                              (Z.element([1]), 1, "a"))
+
+
+def test_reindex_monoid_algebra_goes_to_the_image_monoid():
+    N = Submonoid.generated_by(Z2, [[1, 0], [0, 1]])
+    f = hom_from_matrix(Z2, Z, [[1], [1]])
+    assert reindex(MonoidAlgebra(N), f) == MonoidAlgebra(NAT)
+    killed = MonoidIdeal(N, (Z2.element([1, 0]),))
+    with pytest.raises(PreconditionError, match="before killing an ideal"):
+        reindex(MonoidAlgebra(N, killed), f)
+
+
 # --- randomized identities --------------------------------------------------------------
 
 

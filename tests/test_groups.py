@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from magnetkit.errors import StructuralError
-from magnetkit.groups import FgAbelianGroup, GroupHom, hom_from_matrix
+from magnetkit.groups import FgAbelianGroup, GroupElement, GroupHom, hom_from_matrix
 
 
 def test_group_construction_normalizes_torsion():
@@ -61,6 +61,25 @@ def test_element_arithmetic_is_abelian(a, b, c):
     assert (x + y) - y == x
     assert x.scale(3) == x + x + x
     assert (x - x).is_zero()
+
+
+def test_elements_compare_their_group_and_order_by_coordinates():
+    Z2 = FgAbelianGroup(2, ())
+    ZxZ3 = FgAbelianGroup(1, (3,))
+    a, b = Z2.element([1, 1]), ZxZ3.element([1, 1])
+    assert a.coords == b.coords
+    assert a != b
+    assert len({a, b}) == 2
+    assert {a: "Z^2", b: "Z x Z/3"}[a] == "Z^2"
+    assert ZxZ3.element([1, 4]) == b
+    assert hash(ZxZ3.element([1, 4])) == hash(b)
+    coords = [(2, 0), (-1, 2), (0, 1), (-1, 0), (0, 0)]
+    assert [e.coords for e in sorted(map(ZxZ3.element, coords))] == sorted(coords)
+    e = FgAbelianGroup(2, (2, 5)).element([3, -4, 3, 7])
+    assert (e.free, e.torsion) == ((3, -4), (1, 2))
+    assert e.coords == e.free + e.torsion
+    with pytest.raises(StructuralError, match="coordinate shape"):
+        GroupElement(ZxZ3, (1, 1, 0))
 
 
 def test_cross_ambient_arithmetic_rejected():
