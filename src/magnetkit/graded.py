@@ -13,11 +13,13 @@ with degree outside N (degrees inside N are closed under addition).  For a
 monoid algebra Z[N0] it is the monomial ideal generated by N0 minus N, whose
 membership test peels generators: m is a member iff m escapes N, or m - g is
 a member for some generator g with m - g in N0.  A support report decides the
-same ideal on the slice of members of bounded degree, lowest degree first:
-the slice holds every divisor of its members, so the peel reads the decisions
-already made there instead of asking N0, and the scan stops at the first
-degree that certifies a finite support.  An avoided magnet that is a sharp
-Submonoid is asked on its own slice in the same way.
+same ideal on the slice of members of bounded degree, lowest degree first,
+growing the slice one degree at a time as it goes: the slice holds every
+divisor of its members, so the peel reads the decisions already made there
+instead of asking N0, and the scan stops at the first degree that certifies
+a finite support, having built no degree above it.  An avoided magnet that
+is simplicial answers from its coefficient vectors, and any other sharp
+Submonoid is asked on its own slice, grown to the degree asked.
 
 Each question goes to the monoid layer once: whether a monoid is a group or
 sharp is one cached verdict per monoid (monoids.is_group and is_sharp read
@@ -27,6 +29,7 @@ variable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mod, mul, sub
@@ -44,8 +47,8 @@ from .groups import FgAbelianGroup, GroupElement, GroupHom, as_int
 from .monoids import (
     CACHE_SIZE,
     Submonoid,
-    _slice,
-    bounded_members,
+    _Slice,
+    coefficient_test,
     intersection,
     is_face,
     is_group,
@@ -303,43 +306,46 @@ class SupportReport:
 def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     """Enumerate the surviving degrees of A with a finiteness certificate.
 
-    Sharp case: pick a positive functional h on the monoid and decide the
-    exact slice of members of degree <= probe_bound one degree at a time.  For
-    g a monoid generator or an explicit killed generator, m - g has degree at
-    most h(m), so it lies in the monoid iff it lies in the slice: a member is
-    killed when m - g is in the slice for an explicit generator g, when m - g
-    is a killed member for a monoid generator g, or when m escapes an avoided
-    magnet.  No membership question goes to the monoid.  An avoided magnet
-    that is a sharp Submonoid answers from its own slice (_magnet_test): a
-    degree of negative weight under its positive grading escapes it, and
-    any other is looked up in a slice built to at least that weight.  Any
-    other avoided magnet is asked at most once per member, through
-    contains.  The slice and these decisions work on coordinate tuples,
-    torsion reduced mod its orders; a GroupElement is built only to ask an
-    avoided magnet through contains and for the members reported.
+    Sharp case: pick a positive functional h on the monoid, and for B = 0,
+    1, ..., probe_bound grow the slice of members to degree B and decide
+    the members of degree B.  For g a monoid generator or an explicit killed
+    generator, m - g has degree at most h(m), so it lies in the monoid iff
+    it lies in the slice: a member is killed when m - g is in the slice for
+    an explicit generator g, when m - g is a killed member for a monoid
+    generator g, or when m escapes an avoided magnet.  No membership
+    question goes to the monoid.  An avoided magnet that is a Submonoid
+    answers without contains where it can (_magnet_test); any other avoided
+    magnet is asked at most once per member, through contains.  The slice
+    and these decisions work on coordinate tuples, torsion reduced mod its
+    orders; a GroupElement is built only to ask an avoided magnet through
+    contains and for the members reported.
 
     After degree B is decided, if every member in the window (B - maxh, B] is
     killed then every member above B - maxh is killed too (peel generators off
     a representation: some partial sum lands in the window, and ideals
-    absorb), so the support is finite and fully listed, and members above B
-    are never decided.  A finite support with a nonzero member forces
+    absorb), so the support is finite and fully listed, and the slice is
+    never grown above B.  A finite support with a nonzero member forces
     nilpotency: the multiples of that member eventually leave the support.
+
+    A group algebra is reduced.  When the group is finite, all its generators
+    having zero free part, its word-length slice is grown until it is
+    complete, whatever the probe bound, so the support is listed in full.
     """
     N0 = A.monoid
-    zero = N0.ambient.zero()
+    G = N0.ambient
+    zero = G.zero()
     if not N0.generators:
         alive = A.survives(zero)
         return SupportReport((zero,) if alive else (), True, 0, False)
     if is_group(N0):
         if not A.survives(zero):
             return SupportReport((), True, 0, False)
-        finite = all(all(c == 0 for c in g.free) for g in N0.generators)
-        members = tuple(sorted(bounded_members(N0, probe_bound)))
-        # group algebras are reduced; a finite group is fully enumerated
-        # once the word-length BFS stabilizes below the probe bound
-        return SupportReport(members, finite, None, False)
+        finite = all(not any(g.free) for g in N0.generators)
+        S = _Slice(N0, [1] * len(N0.generators))
+        # a word in a finite group is no longer than the group's order
+        S.grow(math.prod(G.torsion_orders) if finite else probe_bound)
+        return SupportReport(tuple(sorted(GroupElement(G, x) for x in S)), finite, None, False)
 
-    G = N0.ambient
     r = G.free_rank
     orders = G.torsion_orders
 
@@ -353,16 +359,14 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     explicit = [g.coords for g in I.generators]
     peels = [g.coords for g in N0.generators]
     inside = [_magnet_test(a) for a in I.avoided]
-    S = _slice(N0, probe_bound, weights)
-    levels: dict[int, list[tuple]] = {}
-    for m, d in S.items():
-        levels.setdefault(d, []).append(m)
+    S = _Slice(N0, weights)
     killed: set[tuple] = set()
     survivors: list[tuple] = []
     # the least B whose window (B - maxh, B] holds no survivor found so far
     free_from = maxh
     for B in range(probe_bound + 1):
-        for m in levels.get(B, ()):
+        S.grow(B)
+        for m in S.levels[B]:
             if (any(reduced(tuple(map(sub, m, g))) in S for g in explicit)
                     or any(reduced(tuple(map(sub, m, g))) in killed for g in peels)
                     or not all(t(m) for t in inside)):
@@ -387,44 +391,43 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
 def _magnet_test(a) -> Callable[[tuple], bool]:
     """Membership in the magnet a, asked on reduced coordinate tuples.
 
-    A sharp Submonoid with generators answers from its own slice: with w its
-    positive grading, every member x has w.x >= 0 and _slice(a, w.x) reaches
-    it.  So a tuple of negative degree is refused, and any other is looked
-    up in one slice, which starts as {0} and is rebuilt with at least twice
-    its bound whenever a question lies above it.  Any other magnet asks
-    a.contains, and so does a Submonoid when positive_grading finds it not
-    sharp, finds no covector in its box or hits a cap, and, from then on,
-    when its slice hits the node cap.
+    A simplicial Submonoid answers from its coefficient vectors
+    (monoids.coefficient_test), before anything else is asked of it.  Any
+    other sharp Submonoid answers from its own slice: with w its positive
+    grading, every member x has w.x >= 0 and lies in the slice grown to
+    degree w.x.  So a tuple of negative degree is refused, and any other is
+    looked up in one slice, grown to the degree asked.  Any other magnet
+    asks a.contains, and so does a Submonoid when positive_grading finds it
+    not sharp, finds no covector in its box or hits a cap, and, from then
+    on, when its slice hits the node cap.
     """
     def ask(m):
         return a.contains(GroupElement(a.ambient, m))
 
-    if not (isinstance(a, Submonoid) and a.generators):
+    if not isinstance(a, Submonoid):
         return ask
+    simplicial = coefficient_test(a)
+    if simplicial is not None:
+        return simplicial
     try:
         grading = positive_grading(a)
     except (PreconditionError, NoCertificateError, ResourceLimitError):
         return ask
     covector = grading.covector
-    weights = [grading.degree(g) for g in a.generators]
-    bound = 0
-    members: Optional[dict] = {(0,) * a.ambient.coord_count: 0}
+    members: Optional[_Slice] = _Slice(a, [grading.degree(g) for g in a.generators])
 
     def test(m):
-        nonlocal bound, members
+        nonlocal members
         d = sum(map(mul, covector, m))  # map stops at the free coordinates
         if d < 0:
             return False
-        if members is None:  # the slice hit the node cap
-            return ask(m)
-        if d > bound:
-            bound = max(d, 2 * bound)
+        if members is not None:
             try:
-                members = _slice(a, bound, weights)
+                members.grow(d)
+                return m in members
             except ResourceLimitError:
-                members = None
-                return ask(m)
-        return m in members
+                members = None  # the slice hit the node cap
+        return ask(m)
 
     return test
 

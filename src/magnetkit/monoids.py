@@ -22,7 +22,10 @@ cannot reach a witness, and the question goes to the tiers at once.  Every
 route ends in the complete solver, so no answer depends on the route.
 Likewise positive_grading is the only route to the positive-covector search,
 a lazy depth-first search in lex order that keeps O(rank * generators)
-memory.
+memory.  Two exact readings of membership sit beside contains for callers
+that ask many questions of one monoid, and ask the solver nothing: a slice
+of the members of bounded degree (_Slice, grown one degree at a time), and
+coefficient_test for a simplicial monoid.
 
 Monoid-like duck type: anything with .ambient and .contains(element) can be
 used as a magnet by the graded/atlas layers (Submonoid, Intersection,
@@ -35,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, mod
+from operator import add, mod, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .diophantine import DEFAULT_MAX_NODES, has_nonneg_solution
@@ -556,56 +559,110 @@ def positive_grading(N: Submonoid) -> GradingMorphism:
     return GradingMorphism(N, _positive_covector(N.generators, N.ambient.free_rank))
 
 
-def _slice(N: Submonoid, bound: int, weights: Sequence[int]) -> dict[tuple, int]:
-    """The breadth-first slice of N on coordinate tuples, as {coords: degree}.
+class _Slice(dict):
+    """The members of N up to the degree grown so far, on coordinate tuples,
+    as {coords: degree}; levels[d] lists those of degree d.
 
-    weights[i] is the degree of the i-th generator; a step adds a generator's
-    coordinates, torsion ones reduced mod their orders, and its weight.  Up to
-    bound levels are taken, a step landing above degree bound is dropped, and
-    the cap is checked after each level.  Zero weights give the slice by
-    combination length.
+    weights[i] is the degree of the i-th generator, positive and additive
+    (a member's degree is the sum of the weights on any path to it, as for
+    a GradingMorphism); the slice by combination length has every weight 1.
+    grow(bound) builds each missing level d <= bound by adding every
+    generator g to level d - w(g), torsion coordinates reduced mod their
+    orders, and keeps a sum the first time it is reached.  The node cap is
+    checked after each level.  Once the last max(w) levels are empty every
+    later one is too: the slice is complete, and grow builds no more.
     """
-    r = N.ambient.free_rank
-    orders = N.ambient.torsion_orders
-    steps = [(g.coords, w) for g, w in zip(N.generators, weights)]
-    frontier = {(0,) * N.ambient.coord_count: 0}
-    seen = dict(frontier)
-    for level in range(bound):
-        new = {}
-        for x, d in frontier.items():
-            for g, w in steps:
-                e = d + w
-                if e > bound:
+
+    def __init__(self, N: Submonoid, weights: Sequence[int]):
+        if min(weights, default=1) < 1:
+            raise PreconditionError("a slice needs a positive degree on every generator")
+        zero = (0,) * N.ambient.coord_count
+        super().__init__({zero: 0})
+        self.levels = [[zero]]
+        self.steps = [(g.coords, w) for g, w in zip(N.generators, weights)]
+        self.reach = max(weights, default=1)
+        self.free_rank = N.ambient.free_rank
+        self.orders = N.ambient.torsion_orders
+
+    def grow(self, bound: int) -> None:
+        levels, r, orders = self.levels, self.free_rank, self.orders
+        for d in range(len(levels), bound + 1):
+            if not any(levels[-self.reach:]):
+                return
+            level = []
+            for g, w in self.steps:
+                if w > d:
                     continue
-                y = tuple(map(add, x, g))
-                if orders:
-                    y = y[:r] + tuple(map(mod, y[r:], orders))
-                if y not in seen:
-                    new[y] = e
-        seen.update(new)
-        if len(seen) > DEFAULT_MAX_NODES:
-            raise ResourceLimitError(
-                "member enumeration exceeded %d nodes" % DEFAULT_MAX_NODES)
-        frontier = new
-        if not frontier:
-            break
-    return seen
+                for x in levels[d - w]:
+                    y = tuple(map(add, x, g))
+                    if orders:
+                        y = y[:r] + tuple(map(mod, y[r:], orders))
+                    if y not in self:
+                        self[y] = d
+                        level.append(y)
+            levels.append(level)
+            if len(self) > DEFAULT_MAX_NODES:
+                raise ResourceLimitError(
+                    "member enumeration exceeded %d nodes" % DEFAULT_MAX_NODES)
 
 
 def bounded_members(N: Submonoid, bound: int,
                     degree: Optional[Callable[[GroupElement], int]] = None) -> set[GroupElement]:
     """All members of degree <= bound (sharp N; exact slice).
 
-    degree must be additive, degree(x + y) = degree(x) + degree(y), as a
-    GradingMorphism.degree is: it is read once per generator and a member's
-    degree is the sum along the path that reached it.  With degree None the
-    slice is by combination length instead, which is only a finite
+    degree must be additive, degree(x + y) = degree(x) + degree(y), and
+    positive on every generator, as a positive GradingMorphism.degree is: it
+    is read once per generator and the slice grows by it.  With degree None
+    the slice is by combination length instead, which is only a finite
     approximation and is used where the caller says so.
     """
-    G = N.ambient
-    weights = [0 if degree is None else degree(g) for g in N.generators]
-    return {GroupElement(G, x) for x, d in _slice(N, bound, weights).items()
-            if degree is None or d <= bound}
+    S = _Slice(N, [1 if degree is None else degree(g) for g in N.generators])
+    S.grow(bound)
+    return {GroupElement(N.ambient, x) for x in S}
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def coefficient_test(N: Submonoid) -> Optional[Callable[[Sequence[int]], bool]]:
+    """Membership in a simplicial N, read off a target's coefficient vector;
+    None when N is not simplicial.
+
+    N is simplicial when the free parts of its generators are linearly
+    independent, a generator whose negative is also a generator (a +- pair)
+    counted once.  Then the coefficients c with sum c_i g_i = m, over one
+    generator per pair, are unique if they exist, and m lies in N iff c is
+    integral, satisfies every free row, is >= 0 off the +- pairs and
+    reproduces m's torsion part (Bruns & Gubeladze, Polytopes, Rings, and
+    K-Theory, ch. 2).  One Smith decomposition A = S D T of the free parts
+    is read once; for a target t, u = Sinv t must vanish past the k nonzero
+    diagonal entries and be divisible by them on the diagonal, and then
+    c = Tinv (u / D).  The test takes coordinate tuples, free coordinates
+    first, and is exact; it asks the solver nothing.
+    """
+    gens = set(N.generators)
+    columns = [g for g in N.generators if not (-g in gens and -g < g)]
+    r = N.ambient.free_rank
+    k = len(columns)
+    sm = linalg.smith([[g.free[i] for g in columns] for i in range(r)])
+    if sm.rank < k:
+        return None
+    diag = sm.diagonal[:k]
+    Sinv, Tinv = sm.Sinv, sm.Tinv
+    signed = [-g in gens for g in columns]
+    orders = N.ambient.torsion_orders
+    torsion_rows = [[g.torsion[j] for g in columns] for j in range(len(orders))]
+
+    def test(m: Sequence[int]) -> bool:
+        u = [sum(map(mul, row, m)) for row in Sinv]  # map stops at the free part
+        if any(u[k:]) or any(v % d for v, d in zip(u, diag)):
+            return False
+        y = [v // d for v, d in zip(u, diag)]
+        c = [sum(map(mul, row, y)) for row in Tinv]
+        if any(x < 0 for x, s in zip(c, signed) if not s):
+            return False
+        return all((sum(map(mul, row, c)) - t) % n == 0
+                   for row, t, n in zip(torsion_rows, m[r:], orders))
+
+    return test
 
 
 @dataclass(frozen=True)

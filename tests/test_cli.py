@@ -116,6 +116,20 @@ def test_monoscheme_support_report(tmp_path):
     assert support["non_reduced"] is True
 
 
+def test_a_support_certified_below_the_node_cap_is_printed(tmp_path):
+    # N^6 has more than 200000 members of degree <= 24, the default probe
+    # bound, but its support under [(1,1,0,0,0,0)> is certified at degree 1
+    path = write(tmp_path, "z6.json", {
+        "group": {"free_rank": 6},
+        "charts": [{"name": "V", "monoid_algebra": {
+            "generators": [[int(i == j) for j in range(6)] for i in range(6)]}}],
+        "monoid": {"generators": [[1, 1, 0, 0, 0, 0]]},
+    })
+    r = run("attractor", "--input", path)
+    assert r.exit_code == 0
+    assert "V: support {(0,0,0,0,0,0)} finite=True non_reduced=False" in r.output.splitlines()
+
+
 def test_weight_attractor_output(tmp_path):
     path = write(
         tmp_path,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ from magnetkit.monoids import (
     PreimageMonoid,
     Submonoid,
     bounded_members,
+    coefficient_test,
     faces,
     is_sharp,
     positive_grading,
@@ -137,6 +139,22 @@ def test_support_report_group_algebra():
     assert rep.finite is True
     assert len(rep.members) == 6
     assert rep.non_reduced is False
+
+
+def test_a_finite_group_algebra_lists_its_whole_support():
+    # word length reaches 50 in Z/100, and 30 in Z x Z/60 under +-(0,1)
+    G = FgAbelianGroup(0, (100,))
+    A = MonoidAlgebra(Submonoid.subgroup_generated_by(G, [[1]]))
+    for bound in (0, 10, 24):
+        rep = support_report(A, bound)
+        assert rep.members == tuple(G.element([k]) for k in range(100)), bound
+        assert rep.finite is True and rep.non_reduced is False
+    G = FgAbelianGroup(1, (60,))
+    rep = support_report(MonoidAlgebra(Submonoid.subgroup_generated_by(G, [[0, 1]])), 10)
+    assert rep.members == tuple(G.element([0, k]) for k in range(60))
+    assert rep.finite is True
+    rep = support_report(MonoidAlgebra(Submonoid.subgroup_generated_by(G, [[1, 0]])), 10)
+    assert len(rep.members) == 21 and rep.finite is False
 
 
 def reference_bounded_members(N, bound, degree=None):
@@ -291,6 +309,38 @@ def test_support_report_decides_no_member_above_the_certificate():
         assert m in members and h(m) <= rep.certified_degree
 
 
+def test_a_report_grows_the_chart_slice_only_to_its_certificate(monkeypatch):
+    # criterion 02 is certified at degree 2, and its magnet [(1,0)> is
+    # simplicial, so it builds no slice of its own
+    N0 = Submonoid.generated_by(Z2, [[1, 1], [1, -1], [1, 0]])
+    grown = Counter()
+
+    class CountingSlice(monoids._Slice):
+        def __init__(self, N, weights):
+            super().__init__(N, weights)
+            self.monoid = N
+
+        def grow(self, bound):
+            grown[self.monoid] = max(grown[self.monoid], bound)
+            super().grow(bound)
+
+    monkeypatch.setattr(graded, "_Slice", CountingSlice)
+    A = attractor(MonoidAlgebra(N0), Submonoid.generated_by(Z2, [[1, 0]])).quotient
+    rep = support_report(A, probe_bound=16)
+    assert rep == SupportReport((Z2.zero(), Z2.element([1, 0])), True, 2, True)
+    assert grown == Counter({N0: 2})
+
+
+def test_a_report_certified_below_the_node_cap_answers():
+    # the slice of N^6 to degree 24, the default probe bound, passes the
+    # node cap, but the report is certified at degree 1
+    G = FgAbelianGroup(6)
+    N0 = Submonoid.generated_by(G, [[int(i == j) for j in range(6)] for i in range(6)])
+    A = attractor(MonoidAlgebra(N0), Submonoid.generated_by(G, [[1, 1, 0, 0, 0, 0]])).quotient
+    assert math.comb(24 + 6, 6) > monoids.DEFAULT_MAX_NODES
+    assert support_report(A) == SupportReport((G.zero(),), True, 1, False)
+
+
 # --- avoided magnets on their own slice --------------------------------------
 
 
@@ -368,33 +418,59 @@ class AskedMagnet(Submonoid):
 
 
 def capped_slices(monkeypatch, A):
-    """Make every slice except the chart's own hit the node cap."""
-    real = graded._slice
+    """Make every slice except the chart's own hit the node cap when it
+    builds a level; the list returned collects the capped monoids."""
+    capped = []
 
-    def capped(N, bound, weights):
-        if N is not A.monoid:
-            raise ResourceLimitError("member enumeration exceeded 0 nodes")
-        return real(N, bound, weights)
+    class CappedSlice(monoids._Slice):
+        def __init__(self, N, weights):
+            super().__init__(N, weights)
+            self.monoid = N
 
-    monkeypatch.setattr(graded, "_slice", capped)
+        def grow(self, bound):
+            if self.monoid is not A.monoid and bound >= len(self.levels):
+                capped.append(self.monoid)
+                raise ResourceLimitError("member enumeration exceeded 0 nodes")
+            super().grow(bound)
+
+    monkeypatch.setattr(graded, "_Slice", CappedSlice)
+    return capped
 
 
 @pytest.mark.parametrize("G", SLICE_ROUTE_GROUPS, ids=lambda G: G.describe())
 def test_a_capped_magnet_slice_falls_back_to_contains(monkeypatch, G):
-    for A, bound in slice_route_algebras(G, 15, G.coord_count * 7):
+    # only a sharp magnet that is not simplicial grows a slice, as the fixed
+    # first case does: its support keeps (k,0) and loses (1,2), so a
+    # fallback that answers other than contains changes the report
+    pad = [0] * (G.coord_count - 2)
+    N0 = Submonoid.generated_by(G, [[1, 0] + pad, [1, 1] + pad, [1, 2] + pad])
+    magnet = Submonoid.generated_by(G, [[1, 0] + pad, [1, 1] + pad, [2, 1] + pad])
+    cases = [(MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,))), 6)]
+    cases += slice_route_algebras(G, 15, G.coord_count * 7)
+    capped = []
+    for A, bound in cases:
         want = reference_support_report(A, bound)
         with monkeypatch.context() as patch:
-            capped_slices(patch, A)
+            hits = capped_slices(patch, A)
             assert support_report(A, bound) == want, (A, bound)
+        capped += hits
+    assert magnet in capped and coefficient_test(magnet) is None
 
 
 def test_a_sharp_magnet_is_asked_nothing_and_refuses_negative_degrees_after_a_cap(monkeypatch):
-    # the magnet [(1,0)> grades by w = (1,-1); (1,-1) has w-degree 2 and
-    # (1,2) has -1, and both escape it, so the support is {0}
     N0 = Submonoid.generated_by(Z2, [[1, 2], [1, -1]])
     want = SupportReport((Z2.zero(),), True, 1, False)
-    magnet = AskedMagnet(Z2, (Z2.element([1, 0]),))
+    # the simplicial magnet [(1,0)> answers from coefficient vectors: (1,2)
+    # and (1,-1) have a negative coefficient, so the support is {0}
+    simplicial = AskedMagnet(Z2, (Z2.element([1, 0]),))
+    A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(simplicial,)))
+    assert support_report(A, 8) == want
+    assert simplicial.asked == []
+    # [(1,0),(2,1),(2,-1)> is not simplicial and grades by w = (1,-1); (1,2)
+    # has w-degree -1 and (1,-1) has 2, and both escape it
+    magnet = AskedMagnet(Z2, tuple(Z2.element(c) for c in ([1, 0], [2, 1], [2, -1])))
     A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,)))
+    assert coefficient_test(magnet) is None
     assert positive_grading(magnet).covector == (1, -1)
     assert support_report(A, 8) == want
     assert magnet.asked == []
@@ -425,11 +501,12 @@ def test_kept_asks_units_once_per_monoid(monkeypatch):
 
 def test_support_report_asks_units_once_per_monoid(monkeypatch):
     # positive_grading's sharpness check reads the verdict that the group
-    # test of N0 already holds, and so does the avoided magnet's
+    # test of N0 already holds, and so does the avoided magnet's; a
+    # simplicial magnet answers from its coefficient vectors, asking nothing
     G = FgAbelianGroup(2)
     N0 = Submonoid.generated_by(G, [[1, 0], [0, 1], [1, 1]])
     a = Submonoid.generated_by(G, [[1, 0], [1, 1]])
-    A = attractor(MonoidAlgebra(N0), a).quotient
+    b = Submonoid.generated_by(G, [[1, 0], [1, 1], [2, 1]])
     calls = Counter()
     real = monoids.units
 
@@ -439,10 +516,12 @@ def test_support_report_asks_units_once_per_monoid(monkeypatch):
 
     monkeypatch.setattr(monoids, "units", counting)
     monkeypatch.setattr(graded, "units", counting)
-    clear_library_caches()
-    rep = support_report(A, probe_bound=6)
-    assert G.element([1, 0]) in rep.members and G.element([0, 1]) not in rep.members
-    assert calls == Counter({N0: 1, a: 1})
+    for magnet, want in ((a, Counter({N0: 1})), (b, Counter({N0: 1, b: 1}))):
+        calls.clear()
+        clear_library_caches()
+        rep = support_report(attractor(MonoidAlgebra(N0), magnet).quotient, probe_bound=6)
+        assert G.element([1, 0]) in rep.members and G.element([0, 1]) not in rep.members
+        assert calls == want, magnet
 
 
 def test_free_attractor_asks_each_variable_once():

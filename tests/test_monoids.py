@@ -21,6 +21,7 @@ from magnetkit.monoids import (
     PreimageMonoid,
     Submonoid,
     closed_sets,
+    coefficient_test,
     contains,
     faces,
     groupification,
@@ -691,6 +692,42 @@ def test_bounded_members_slice():
         Z2.element([a, b]) for a in range(3) for b in range(3) if h.degree(Z2.element([a, b])) <= 2
     }
     assert members == want
+
+
+# --- simplicial monoids ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("G", [FgAbelianGroup(r, t) for r in (1, 2, 3)
+                               for t in ((), (2,), (3,), (2, 4))], ids=lambda G: G.describe())
+def test_the_coefficient_test_agrees_with_contains(G):
+    # simplicial monoids with and without +- pairs, every target in a box
+    rng = random.Random(G.coord_count * 10 + sum(G.torsion_orders))
+    radius = 3 if G.free_rank < 3 else 2
+    box = [G.element(c) for c in itertools.product(
+        *[range(-radius, radius + 1)] * G.free_rank, *map(range, G.torsion_orders))]
+    kinds, tested = set(), 0
+    while len(kinds) < 2 or tested < 4:
+        gens = [[rng.randint(-2, 2) for _ in range(G.coord_count)]
+                for _ in range(rng.randint(1, G.free_rank))]
+        pairs = rng.sample(gens, rng.randint(0, len(gens)))
+        N = Submonoid.generated_by(G, gens + [[-c for c in g] for g in pairs])
+        test = coefficient_test(N)
+        if test is None:
+            continue
+        kinds.add(bool(units(N).generators))
+        tested += 1
+        for m in box:
+            assert test(m.coords) == contains(N, m), (N, m)
+
+
+def test_the_coefficient_test_refuses_dependent_free_parts():
+    G = FgAbelianGroup(2, (2,))
+    for gens in ([[1, 0, 0], [0, 1, 0], [1, 1, 0]],   # more generators than rank
+                 [[1, 0, 0], [2, 0, 1]],               # parallel free parts
+                 [[1, 0, 0], [-1, 0, 1]],              # +- free parts, not a pair
+                 [[1, 0, 0], [0, 0, 1]]):              # a torsion generator
+        assert coefficient_test(Submonoid.generated_by(G, gens)) is None, gens
+    assert coefficient_test(Submonoid.generated_by(G, [[1, 0, 0], [-1, 0, 0], [0, 1, 1]]))
 
 
 # --- intersections and preimages ------------------------------------------------
