@@ -6,26 +6,36 @@ tuple (sorted, deduplicated, zero dropped).  Equality is presentation
 equality; semantic equality is same_submonoid.  Membership is exact and
 cached, and contains is the only route to it, so every question (faces,
 irreducible generators, pushout complements) is posed as membership in some
-submonoid.  A generator is a member at once; anything else first gets the
-diophantine completion solver (congruence rows for the torsion coordinates)
-with a budget of FIRST_PASS_NODES nodes, which settles most questions.  One
-that overflows goes through tiers that each answer only where they are
-exact: a lattice test (linalg.solve, whose "no" carries a character
-checked by multiplication) and a cone feasibility test by exact LP
-(magnetkit.lp), whose "no" is final and carries a Farkas separator checked
-by multiplication; a witness from the rounded LP vertex, whose "yes" is final;
-and last the complete solver at its full cap.  A deep question skips the
-first pass: when every witness has length at least L, read off the
-target's coordinates, and the C(L + k, k) combinations of length <= L over
-the k generator and torsion-slack columns exceed FIRST_PASS_NODES, the pass
-cannot reach a witness, and the question goes to the tiers at once.  Every
-route ends in the complete solver, so no answer depends on the route.
-Likewise positive_grading is the only route to the positive-covector search,
-a lazy depth-first search in lex order that keeps O(rank * generators)
-memory.  Two exact readings of membership sit beside contains for callers
-that ask many questions of one monoid, and ask the solver nothing: a slice
-of the members of bounded degree (_Slice, grown one degree at a time), and
-coefficient_test for a simplicial monoid.
+submonoid.  Membership is decided in tiers, each exact where it answers:
+
+1. a generator is a member;
+2. a sign-separable target, with a nonzero free coordinate whose sign no
+   generator shares, is not: no nonnegative combination reaches it, and
+   torsion does not move a free coordinate;
+3. the diophantine completion solver (congruence rows for the torsion
+   coordinates) with a budget of FIRST_PASS_NODES nodes settles most of
+   the rest;
+4. one that overflows goes to a lattice test (linalg.solve, whose "no"
+   carries a character checked by multiplication), a cone feasibility test
+   by exact LP (magnetkit.lp), whose "no" is final and carries a Farkas
+   separator checked by multiplication, a witness from the rounded LP
+   vertex, whose "yes" is final, and last the complete solver at its full
+   cap.
+
+A deep question skips the first pass: when every witness has length at
+least L, read off the target's coordinates, and the C(L + k, k)
+combinations of length <= L over the k generator and torsion-slack columns
+exceed FIRST_PASS_NODES, the pass cannot reach a witness, and the question
+goes to tier 4 at once.  Past the first two tiers every route ends in the
+complete solver, so no answer depends on the route.
+
+As contains is the only route to the solver, positive_grading is the only
+route to the positive-covector search, a lazy depth-first search in lex
+order that keeps O(rank * generators) memory.  Two exact readings of
+membership sit beside contains for callers that ask many questions of one
+monoid, and ask the solver nothing: a slice of the members of bounded
+degree (_Slice, grown one degree at a time), and coefficient_test for a
+simplicial monoid.
 
 Monoid-like duck type: anything with .ambient and .contains(element) can be
 used as a magnet by the graded/atlas layers (Submonoid, Intersection,
@@ -104,9 +114,10 @@ class Submonoid:
 # (closed root subsets of G2, the A3 adjoint magnets) stay below 7000
 CACHE_SIZE = 2 ** 16
 
-# node budget of the bare solver pass that every membership question gets
-# first; most questions end within it, and one that overflows it, or whose
-# witnesses all lie beyond its reach, goes on to the tiers of _after_first_pass
+# node budget of the bare solver pass that every membership question past the
+# generator and sign checks gets first; most questions end within it, and one
+# that overflows it, or whose witnesses all lie beyond its reach, goes on to
+# the tiers of _after_first_pass
 FIRST_PASS_NODES = 100
 
 # largest max-norm searched for a positive grading covector
@@ -118,11 +129,14 @@ def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
     if m in N.generators:
         return True
     columns = [g.coords for g in N.generators]
+    bound = _witness_length_bound(columns, m.free)
+    if not bound and any(m.free):
+        return False
     # the breadth-first pass covers combinations by length, and there are
     # C(L + k, k) of length <= L over k columns; past FIRST_PASS_NODES it
     # cannot reach a witness of length L, so the tiers come first
     k = len(columns) + 2 * len(N.ambient.torsion_orders)
-    if math.comb(_witness_length_bound(columns, m.free) + k, k) > FIRST_PASS_NODES:
+    if math.comb(bound + k, k) > FIRST_PASS_NODES:
         return _after_first_pass(N, m)
     moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
     try:
@@ -138,9 +152,11 @@ def _witness_length_bound(columns, free: Sequence[int]) -> int:
     In a free coordinate i with free[i] > 0 each generator adds at most the
     largest positive entry of row i, so a witness has at least free[i] over
     that many summands, rounded up; likewise for free[i] < 0 with the most
-    negative entry.  The bound is the largest of these, and 0 for a
-    sign-separable target, one with a nonzero coordinate that no generator
-    shares the sign of.
+    negative entry.  The bound is the largest of these.  It is 0 exactly
+    when free is zero or the target is sign-separable, with a nonzero
+    coordinate that no generator shares the sign of.  No nonnegative
+    combination reaches a sign-separable target, whatever its torsion part,
+    so _cached_contains answers "no" to it without a solver call.
     """
     bound = 0
     for t, row in zip(free, zip(*columns)):

@@ -225,8 +225,71 @@ def test_generator_adjacent_question_keeps_the_first_pass(monkeypatch):
     N = Submonoid.generated_by(G, Z3_FAMILY)
     calls = _first_passes(monkeypatch)
     assert contains(N, G.element([1, 1, 0]))
+    # only (2, -1, 1) reaches y < 0, and it forces x >= 2: not sign-separable,
+    # so the first pass decides this "no"
+    assert not contains(N, G.element([0, -1, 0]))
+    assert calls == [(1, 1, 0), (0, -1, 0)]
+    # no generator has x < 0: sign-separable, a "no" without the solver
+    monkeypatch.setattr(monoids, "has_nonneg_solution", None)
     assert not contains(N, G.element([-1, 0, 0]))
-    assert calls == [(1, 1, 0), (-1, 0, 0)]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a sign-separable target reached a solver")
+
+
+@pytest.mark.parametrize("with_pair", [False, True], ids=["sharp", "pair"])
+@pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_sign_separable_targets_are_answered_without_a_solver(monkeypatch, f, orders,
+                                                              with_pair):
+    # every generator has sign[i] * g[i] <= 0 in one free coordinate i, so a
+    # target with sign[i] * t[i] > 0 is sign-separable; a +- pair is 0 there
+    rng = random.Random(repr((f, orders, with_pair)))
+    G = FgAbelianGroup(f, orders)
+    moduli = (0,) * f + orders
+
+    def vector():
+        return [rng.randint(-3, 3) for _ in range(f)] + [rng.randrange(n) for n in orders]
+
+    cases = []
+    for _ in range(3):
+        i, sign = rng.randrange(f), rng.choice([-1, 1])
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            g = vector()
+            g[i] = -sign * abs(g[i])
+            gens.append(g)
+        if with_pair:
+            u = vector()
+            u[i] = 0
+            gens += [u, [-c for c in u]]
+        N = Submonoid.generated_by(G, gens)
+        columns = [g.coords for g in N.generators]
+        for _ in range(6):
+            t = vector()
+            t[i] = sign * rng.randint(1, 3)
+            assert monoids._witness_length_bound(columns, t[:f]) == 0
+            cases.append((N, G.element(t), has_nonneg_solution(columns, t, moduli)))
+    assert not any(want for _, _, want in cases)
+    monkeypatch.setattr(monoids, "has_nonneg_solution", _refuse)
+    monkeypatch.setattr(monoids.linalg, "solve", _refuse)
+    monkeypatch.setattr(monoids.lp, "simplex", _refuse)
+    monoids._cached_contains.cache_clear()
+    for N, m, want in cases:
+        assert contains(N, m) is want, (N.describe(), m)
+
+
+def test_a_target_with_zero_free_part_still_reaches_the_solver(monkeypatch):
+    # (0, 1) has a zero free part, so its witness length bound is 0 too, but
+    # it is not sign-separable: (1, 1) + (-1, 0) reaches it
+    G = FgAbelianGroup(1, (2,))
+    N = Submonoid.generated_by(G, [[1, 1], [-1, 0]])
+    m = G.element([0, 1])
+    assert monoids._witness_length_bound([g.coords for g in N.generators], m.free) == 0
+    calls = _first_passes(monkeypatch)
+    assert contains(N, m)
+    assert calls == [(0, 1)]
 
 
 @pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
