@@ -17,9 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, StructuralError, crosscheck
+from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import FreePoly, attractor
 from .monoids import GradingMorphism, Submonoid, positive_grading, sharp_quotient, units
+
+# The Hilbert check keeps one count per degree up to its bound, and its
+# recount walks one monomial of degree <= bound at a time; either past this
+# many is refused.  Five degree-1 fibers pass it at bound 39, where the
+# recount alone would take about 0.2 s.
+HILBERT_CHECK_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,8 @@ def bb_bundle(P: FreePoly, N: Submonoid, hilbert_check_bound: int = 8) -> BBResu
     variables with degree in N*; this is established twice, once through the
     positive-grading certificate of the sharpened magnet and once by direct
     unit membership, and the two must agree.  Fiber monomial counts are
-    verified in every certificate degree up to the bound.
+    verified in every certificate degree up to the bound; a bound whose
+    counts or monomials pass HILBERT_CHECK_CAP raises ResourceLimitError.
     """
     if not isinstance(P, FreePoly):
         raise StructuralError("bundle verification needs a free presentation")
@@ -92,7 +99,15 @@ def bb_bundle(P: FreePoly, N: Submonoid, hilbert_check_bound: int = 8) -> BBResu
 
     base = FreePoly(PN.grading_group, tuple(base_vars), PN.coeff)
     fiber_degrees = tuple(sorted(fiber_hdegs))
+    if hilbert_check_bound + 1 > HILBERT_CHECK_CAP:
+        raise ResourceLimitError(
+            "hilbert check keeps %d degree counts, cap is %d"
+            % (hilbert_check_bound + 1, HILBERT_CHECK_CAP))
     counts = _sym_counts(fiber_degrees, hilbert_check_bound)
+    monomials = sum(counts)  # the leaves _monomial_counts walks
+    if monomials > HILBERT_CHECK_CAP:
+        raise ResourceLimitError(
+            "hilbert recount walks %d monomials, cap is %d" % (monomials, HILBERT_CHECK_CAP))
     recount = _monomial_counts(fiber_degrees, hilbert_check_bound)
     crosscheck(counts == recount, "graded dimension counts disagree")
     pi0 = counts[0] == 1 and all(h >= 1 for h in fiber_degrees)

@@ -564,8 +564,11 @@ def cmd_magnets(path, as_json, dot_path, bound):
         "poset": poset.to_json_dict(),
     }
     if dot_path:
-        with open(dot_path, "w") as fh:
-            fh.write(poset.to_dot())
+        try:
+            with open(dot_path, "w") as fh:
+                fh.write(poset.to_dot())
+        except OSError as e:
+            raise SchemaError("cannot write %s: %s" % (dot_path, e.strerror), location="--dot")
         payload["dot_file"] = dot_path
         lines.append("dot: %s" % dot_path)
     _emit(payload, as_json, lines)

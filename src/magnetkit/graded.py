@@ -18,8 +18,8 @@ growing the slice one degree at a time as it goes: the slice holds every
 divisor of its members, so the peel reads the decisions already made there
 instead of asking N0, and the scan stops at the first degree that certifies
 a finite support, having built no degree above it.  An avoided magnet that
-is simplicial answers from its coefficient vectors, and any other sharp
-Submonoid is asked on its own slice, grown to the degree asked.
+is a simplicial Submonoid answers from its coefficient vectors, and any other
+is asked through contains.
 
 Each question goes to the monoid layer once: whether a monoid is a group or
 sharp is one cached verdict per monoid (monoids.is_group and is_sharp read
@@ -32,13 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mod, mul, sub
+from operator import mod, sub
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (
-    NoCertificateError,
     PreconditionError,
-    ResourceLimitError,
     SharpenRequiredError,
     StructuralError,
     crosscheck,
@@ -313,12 +311,12 @@ def support_report(A: MonoidAlgebra, probe_bound: int = 24) -> SupportReport:
     it lies in the slice: a member is killed when m - g is in the slice for
     an explicit generator g, when m - g is a killed member for a monoid
     generator g, or when m escapes an avoided magnet.  No membership
-    question goes to the monoid.  An avoided magnet that is a Submonoid
-    answers without contains where it can (_magnet_test); any other avoided
-    magnet is asked at most once per member, through contains.  The slice
-    and these decisions work on coordinate tuples, torsion reduced mod its
-    orders; a GroupElement is built only to ask an avoided magnet through
-    contains and for the members reported.
+    question goes to the monoid.  An avoided magnet that is a simplicial
+    Submonoid answers from its coefficient vectors (_magnet_test); any
+    other avoided magnet is asked at most once per member, through
+    contains.  The slice and these decisions work on coordinate tuples,
+    torsion reduced mod its orders; a GroupElement is built only to ask an
+    avoided magnet through contains and for the members reported.
 
     After degree B is decided, if every member in the window (B - maxh, B] is
     killed then every member above B - maxh is killed too (peel generators off
@@ -392,44 +390,12 @@ def _magnet_test(a) -> Callable[[tuple], bool]:
     """Membership in the magnet a, asked on reduced coordinate tuples.
 
     A simplicial Submonoid answers from its coefficient vectors
-    (monoids.coefficient_test), before anything else is asked of it.  Any
-    other sharp Submonoid answers from its own slice: with w its positive
-    grading, every member x has w.x >= 0 and lies in the slice grown to
-    degree w.x.  So a tuple of negative degree is refused, and any other is
-    looked up in one slice, grown to the degree asked.  Any other magnet
-    asks a.contains, and so does a Submonoid when positive_grading finds it
-    not sharp, finds no covector in its box or hits a cap, and, from then
-    on, when its slice hits the node cap.
+    (monoids.coefficient_test); any other magnet is asked through contains.
     """
-    def ask(m):
-        return a.contains(GroupElement(a.ambient, m))
-
-    if not isinstance(a, Submonoid):
-        return ask
-    simplicial = coefficient_test(a)
+    simplicial = coefficient_test(a) if isinstance(a, Submonoid) else None
     if simplicial is not None:
         return simplicial
-    try:
-        grading = positive_grading(a)
-    except (PreconditionError, NoCertificateError, ResourceLimitError):
-        return ask
-    covector = grading.covector
-    members: Optional[_Slice] = _Slice(a, [grading.degree(g) for g in a.generators])
-
-    def test(m):
-        nonlocal members
-        d = sum(map(mul, covector, m))  # map stops at the free coordinates
-        if d < 0:
-            return False
-        if members is not None:
-            try:
-                members.grow(d)
-                return m in members
-            except ResourceLimitError:
-                members = None  # the slice hit the node cap
-        return ask(m)
-
-    return test
+    return lambda m: a.contains(GroupElement(a.ambient, m))
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,11 @@ FIRST_PASS_NODES = 100
 # largest max-norm searched for a positive grading covector
 COVECTOR_BOX = 64
 
+# subsets of the unit group's generators that faces tries for the first
+# generating one; Z^r given by +-e_i needs all 2^(2r), so Z^6 (about 0.3 s)
+# is the largest such group it answers
+GENERATING_SUBSET_CAP = 2 ** 12
+
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
@@ -364,10 +369,17 @@ def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
 def _first_generating_subset(G: Submonoid) -> tuple[GroupElement, ...]:
     """The first subset of G's generators in (size, lexicographic) order that
     generates G: faces needs it for the unit group, which has no proper faces
-    to split the search."""
+    to split the search.  Past GENERATING_SUBSET_CAP subsets tried it raises
+    ResourceLimitError."""
     subsets = (T for r in range(len(G.generators) + 1)
                for T in itertools.combinations(G.generators, r))
-    return next(T for T in subsets if is_generating(T, G))
+    for tried, T in enumerate(subsets, 1):
+        if tried > GENERATING_SUBSET_CAP:
+            raise ResourceLimitError(
+                "generating-subset search over %d unit-group generators passed "
+                "the cap of %d subsets" % (len(G.generators), GENERATING_SUBSET_CAP))
+        if is_generating(T, G):
+            return T
 
 
 def is_generating(S: Iterable[GroupElement], N: Submonoid) -> bool:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnetkit import bundles
 from magnetkit.bundles import (
     BBResult,
     DilatationSetup,
@@ -12,6 +13,7 @@ from magnetkit.bundles import (
 from magnetkit.errors import (
     NoCertificateError,
     PreconditionError,
+    ResourceLimitError,
     StructuralError,
 )
 from magnetkit.graded import FreePoly, attractor
@@ -108,6 +110,28 @@ def test_configurable_bound():
     res = bb_bundle(P, Submonoid.generated_by(Z, [[1]]), hilbert_check_bound=3)
     assert res.hilbert_check_bound == 3
     assert len(res.hilbert_counts) == 4
+
+
+def test_a_hilbert_check_past_its_cap_is_refused_before_it_counts(monkeypatch):
+    monkeypatch.setattr(bundles, "HILBERT_CHECK_CAP", 20)
+
+    def never(*args):
+        raise AssertionError("counted past the cap")
+
+    line = FreePoly.of(Z, [("x", [1])])
+    plane = FreePoly.of(Z, [("x", [1]), ("y", [1])])
+    N = Submonoid.generated_by(Z, [[1]])
+    # two degree-1 fibers have C(6, 2) = 15 monomials of degree <= 4
+    assert bb_bundle(plane, N, hilbert_check_bound=4).hilbert_counts == (1, 2, 3, 4, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(bundles, "_sym_counts", never)
+        patch.setattr(bundles, "_monomial_counts", never)
+        with pytest.raises(ResourceLimitError, match="keeps 21 degree counts, cap is 20"):
+            bb_bundle(line, N, hilbert_check_bound=20)
+    # and C(7, 2) = 21 of degree <= 5
+    monkeypatch.setattr(bundles, "_monomial_counts", never)
+    with pytest.raises(ResourceLimitError, match="walks 21 monomials, cap is 20"):
+        bb_bundle(plane, N, hilbert_check_bound=5)
 
 
 def test_certificate_out_of_reach_is_a_precondition_error():

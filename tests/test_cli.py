@@ -97,6 +97,15 @@ def test_magnets_dot_output(p1_file, tmp_path):
     assert text.count("->") == 4
 
 
+def test_magnets_dot_into_a_missing_directory_is_a_located_schema_error(p1_file, tmp_path):
+    dot = tmp_path / "missing" / "out.dot"
+    r = run("magnets", "--input", p1_file, "--dot", str(dot))
+    assert r.exit_code == 2, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == "schema error at --dot: cannot write %s: No such file or directory\n" % dot
+    assert not dot.parent.exists()
+
+
 def test_monoscheme_support_report(tmp_path):
     path = write(
         tmp_path,

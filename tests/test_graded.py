@@ -295,18 +295,34 @@ class CountingMagnet:
         return self.magnet.contains(m)
 
 
+@dataclass(frozen=True)
+class AskedMagnet(Submonoid):
+    """A Submonoid that records every degree its contains method is asked."""
+
+    asked: list = field(default_factory=list, compare=False)
+
+    def contains(self, m):
+        self.asked.append(m)
+        return super().contains(m)
+
+
 def test_support_report_decides_no_member_above_the_certificate():
     N0 = Submonoid.generated_by(Z2, [[1, 1], [1, -1], [1, 0]])
-    magnet = CountingMagnet(Submonoid.generated_by(Z2, [[1, 0]]))
-    rep = support_report(MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,))), probe_bound=16)
-    assert rep.members == (Z2.element([0, 0]), Z2.element([1, 0]))
-    assert rep.certified_degree is not None
     h = positive_grading(N0).degree
     members = bounded_members(N0, 16, h)
-    assert magnet.asked
-    assert len(set(magnet.asked)) == len(magnet.asked)
-    for m in magnet.asked:
-        assert m in members and h(m) <= rep.certified_degree
+    # a magnet that is not a Submonoid, and [(1,0),(2,1),(2,-1)>, a Submonoid
+    # that is not simplicial: both are asked through contains
+    wrapped = CountingMagnet(Submonoid.generated_by(Z2, [[1, 0]]))
+    cone = AskedMagnet(Z2, tuple(Z2.element(c) for c in ([1, 0], [2, 1], [2, -1])))
+    assert coefficient_test(cone) is None
+    for magnet in (wrapped, cone):
+        rep = support_report(MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,))), probe_bound=16)
+        assert rep.members == (Z2.element([0, 0]), Z2.element([1, 0]))
+        assert rep.certified_degree is not None
+        assert magnet.asked
+        assert len(set(magnet.asked)) == len(magnet.asked)
+        for m in magnet.asked:
+            assert m in members and h(m) <= rep.certified_degree
 
 
 def test_a_report_grows_the_chart_slice_only_to_its_certificate(monkeypatch):
@@ -341,7 +357,7 @@ def test_a_report_certified_below_the_node_cap_answers():
     assert support_report(A) == SupportReport((G.zero(),), True, 1, False)
 
 
-# --- avoided magnets on their own slice --------------------------------------
+# --- avoided magnets through their coefficients or contains -----------------
 
 
 def clear_library_caches():
@@ -353,8 +369,9 @@ def clear_library_caches():
 
 def random_avoided(rng, N0, vec):
     """An avoided magnet of a random kind: sharp, non-sharp, zero, or an
-    Intersection, the last three taking the route through contains.  Most
-    take some generators of N0, so that members survive."""
+    Intersection; a simplicial one answers from its coefficient vectors and
+    any other through contains.  Most take some generators of N0, so that
+    members survive."""
     G = N0.ambient
 
     def gens():
@@ -406,77 +423,14 @@ def test_support_report_slice_route_matches_the_member_route(G):
         assert support_report(A, bound) == reference_support_report(A, bound), (A, bound)
 
 
-@dataclass(frozen=True)
-class AskedMagnet(Submonoid):
-    """A Submonoid that records every degree its contains method is asked."""
-
-    asked: list = field(default_factory=list, compare=False)
-
-    def contains(self, m):
-        self.asked.append(m)
-        return super().contains(m)
-
-
-def capped_slices(monkeypatch, A):
-    """Make every slice except the chart's own hit the node cap when it
-    builds a level; the list returned collects the capped monoids."""
-    capped = []
-
-    class CappedSlice(monoids._Slice):
-        def __init__(self, N, weights):
-            super().__init__(N, weights)
-            self.monoid = N
-
-        def grow(self, bound):
-            if self.monoid is not A.monoid and bound >= len(self.levels):
-                capped.append(self.monoid)
-                raise ResourceLimitError("member enumeration exceeded 0 nodes")
-            super().grow(bound)
-
-    monkeypatch.setattr(graded, "_Slice", CappedSlice)
-    return capped
-
-
-@pytest.mark.parametrize("G", SLICE_ROUTE_GROUPS, ids=lambda G: G.describe())
-def test_a_capped_magnet_slice_falls_back_to_contains(monkeypatch, G):
-    # only a sharp magnet that is not simplicial grows a slice, as the fixed
-    # first case does: its support keeps (k,0) and loses (1,2), so a
-    # fallback that answers other than contains changes the report
-    pad = [0] * (G.coord_count - 2)
-    N0 = Submonoid.generated_by(G, [[1, 0] + pad, [1, 1] + pad, [1, 2] + pad])
-    magnet = Submonoid.generated_by(G, [[1, 0] + pad, [1, 1] + pad, [2, 1] + pad])
-    cases = [(MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,))), 6)]
-    cases += slice_route_algebras(G, 15, G.coord_count * 7)
-    capped = []
-    for A, bound in cases:
-        want = reference_support_report(A, bound)
-        with monkeypatch.context() as patch:
-            hits = capped_slices(patch, A)
-            assert support_report(A, bound) == want, (A, bound)
-        capped += hits
-    assert magnet in capped and coefficient_test(magnet) is None
-
-
-def test_a_sharp_magnet_is_asked_nothing_and_refuses_negative_degrees_after_a_cap(monkeypatch):
+def test_a_simplicial_magnet_is_asked_nothing():
     N0 = Submonoid.generated_by(Z2, [[1, 2], [1, -1]])
-    want = SupportReport((Z2.zero(),), True, 1, False)
     # the simplicial magnet [(1,0)> answers from coefficient vectors: (1,2)
     # and (1,-1) have a negative coefficient, so the support is {0}
     simplicial = AskedMagnet(Z2, (Z2.element([1, 0]),))
     A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(simplicial,)))
-    assert support_report(A, 8) == want
+    assert support_report(A, 8) == SupportReport((Z2.zero(),), True, 1, False)
     assert simplicial.asked == []
-    # [(1,0),(2,1),(2,-1)> is not simplicial and grades by w = (1,-1); (1,2)
-    # has w-degree -1 and (1,-1) has 2, and both escape it
-    magnet = AskedMagnet(Z2, tuple(Z2.element(c) for c in ([1, 0], [2, 1], [2, -1])))
-    A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(magnet,)))
-    assert coefficient_test(magnet) is None
-    assert positive_grading(magnet).covector == (1, -1)
-    assert support_report(A, 8) == want
-    assert magnet.asked == []
-    capped_slices(monkeypatch, A)
-    assert support_report(A, 8) == want
-    assert magnet.asked == [Z2.element([1, -1])]
 
 
 def test_kept_asks_units_once_per_monoid(monkeypatch):
@@ -501,8 +455,8 @@ def test_kept_asks_units_once_per_monoid(monkeypatch):
 
 def test_support_report_asks_units_once_per_monoid(monkeypatch):
     # positive_grading's sharpness check reads the verdict that the group
-    # test of N0 already holds, and so does the avoided magnet's; a
-    # simplicial magnet answers from its coefficient vectors, asking nothing
+    # test of N0 already holds; a simplicial magnet answers from its
+    # coefficient vectors and any other through contains, asking nothing
     G = FgAbelianGroup(2)
     N0 = Submonoid.generated_by(G, [[1, 0], [0, 1], [1, 1]])
     a = Submonoid.generated_by(G, [[1, 0], [1, 1]])
@@ -516,7 +470,7 @@ def test_support_report_asks_units_once_per_monoid(monkeypatch):
 
     monkeypatch.setattr(monoids, "units", counting)
     monkeypatch.setattr(graded, "units", counting)
-    for magnet, want in ((a, Counter({N0: 1})), (b, Counter({N0: 1, b: 1}))):
+    for magnet, want in ((a, Counter({N0: 1})), (b, Counter({N0: 1}))):
         calls.clear()
         clear_library_caches()
         rep = support_report(attractor(MonoidAlgebra(N0), magnet).quotient, probe_bound=6)

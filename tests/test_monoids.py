@@ -450,6 +450,18 @@ def test_faces_match_the_exhaustive_scan(group, gens):
     assert list(faces(N)) == _first_presentations(N)
 
 
+def test_the_unit_group_generating_subset_search_is_capped(monkeypatch):
+    # Z^2 given by +-e_i is generated only by all four: the search tries the
+    # 16 subsets of its generators, the empty one first
+    N = Submonoid.generated_by(Z2, [[1, 0], [-1, 0], [0, 1], [0, -1]])
+    monkeypatch.setattr(monoids, "GENERATING_SUBSET_CAP", 16)
+    assert faces(N) == (N,)
+    monkeypatch.setattr(monoids, "GENERATING_SUBSET_CAP", 15)
+    with pytest.raises(ResourceLimitError, match="over 4 unit-group generators passed "
+                                                 "the cap of 15 subsets"):
+        faces(N)
+
+
 # --- closed-set engine -------------------------------------------------------
 
 
