@@ -15,12 +15,16 @@ submonoid.  Membership is decided in tiers, each exact where it answers:
 3. the diophantine completion solver (congruence rows for the torsion
    coordinates) with a budget of FIRST_PASS_NODES nodes settles most of
    the rest;
-4. one that overflows goes to a lattice test (linalg.solve, whose "no"
-   carries a character checked by multiplication), a cone feasibility test
-   by exact LP (magnetkit.lp), whose "no" is final and carries a Farkas
-   separator checked by multiplication, a witness from the rounded LP
-   vertex, whose "yes" is final, and last the complete solver at its full
-   cap.
+4. one that overflows goes to a cone feasibility test by exact LP
+   (magnetkit.lp), whose "no" is final and carries a Farkas separator
+   checked by multiplication;
+5. an integral LP vertex x is a witness: sum x_i g_i, formed in the group,
+   must have m's free part (a check of the LP), and "yes" is final when
+   its torsion part matches as well;
+6. a lattice test (linalg.solve, whose "no" carries a character checked
+   by multiplication);
+7. a witness from the rounded LP vertex, whose "yes" is final;
+8. last the complete solver at its full cap.
 
 A deep question skips the first pass: when every witness has length at
 least L, read off the target's coordinates, and the C(L + k, k)
@@ -179,32 +183,43 @@ def _witness_length_bound(columns, free: Sequence[int]) -> int:
 
 
 def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
-    """Membership of m in N by four tiers, each exact where it answers.
+    """Membership of m in N by five tiers, each exact where it answers.
 
-    1. Lattice: m must be an integer combination of the generators and the
-       torsion orders; "no" comes with a character, checked by
-       multiplication in linalg.solve, and means no.
-    2. Cone: the free part of m must lie in the rational cone of the free
+    1. Cone: the free part of m must lie in the rational cone of the free
        parts; "no" comes with the LP's Farkas separator y, checked by
        multiplication, and means no.
-    3. LP rounding: floor the LP vertex x and ask the solver whether the
-       residual m - sum floor(x_i) g_i lies in N; "yes" means yes.  A "no"
-       backs every floor off by 1, 2, 4, ..., which moves the residual
+    2. Integral vertex: an integral LP vertex x is a witness of the free
+       part, checked by forming sum x_i g_i; "yes" when its torsion part
+       matches too.
+    3. Lattice: m must be an integer combination of the generators and the
+       torsion orders; "no" comes with a character, checked by
+       multiplication in linalg.solve, and means no.
+    4. LP rounding: floor the same LP vertex x and ask the solver whether
+       the residual m - sum floor(x_i) g_i lies in N; "yes" means yes.  A
+       "no" backs every floor off by 1, 2, 4, ..., which moves the residual
        deeper into the cone, until a residual is a member, the solver caps,
        or the residual would be m itself.
-    4. The complete solver at its full node cap.
+    5. The complete solver at its full node cap.
     """
     G = N.ambient
     moduli = (0,) * G.free_rank + G.torsion_orders
     columns = [g.coords for g in N.generators]
-    if linalg.solve(_lattice_matrix(G, columns), m.coords) is None:
-        return False
     cone = lp.simplex([[g.free[i] for g in N.generators] for i in range(G.free_rank)], m.free)
     if cone.separator is not None:
         y = cone.separator
         crosscheck(all(linalg.dot(y, g.free) >= 0 for g in N.generators)
                    and linalg.dot(y, m.free) < 0,
                    "cone separator %r does not separate %r from %s", y, m, N.describe())
+        return False
+    # with no free rows the LP has no columns and its vertex is empty
+    if len(cone.x) == len(columns) and all(v.denominator == 1 for v in cone.x):
+        total = G.element(sum(int(v) * c[i] for v, c in zip(cone.x, columns))
+                          for i in range(G.coord_count))
+        crosscheck(total.free == m.free, "LP vertex %r does not solve the free part of %r in %s",
+                   cone.x, m, N.describe())
+        if total == m:
+            return True
+    if linalg.solve(_lattice_matrix(G, columns), m.coords) is None:
         return False
     floors = [math.floor(v) for v in cone.x]
     back = 0

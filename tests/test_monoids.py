@@ -332,6 +332,65 @@ def test_cone_tier_no_is_crosschecked(monkeypatch):
         monoids._after_first_pass(N, m)
 
 
+def _later_tier(*args, **kwargs):
+    raise AssertionError("a question the cone tiers answer reached a later tier")
+
+
+def test_the_cone_and_an_integral_vertex_answer_before_the_lattice(monkeypatch):
+    Z3 = FgAbelianGroup(3)
+    Z2T6 = FgAbelianGroup(2, (6,))
+    N3 = Submonoid.generated_by(Z3, Z3_FAMILY)
+    N2 = Submonoid.generated_by(Z2, [[2, 0], [1, 1], [0, 2], [1, -1]])
+    N6 = Submonoid.generated_by(Z2T6, [[1, 0, 1], [0, 1, 2], [1, 1, 3], [2, -1, 0]])
+    # (41, 20) has a half-integral vertex; the integral vertex of (40, 30, 1)
+    # reaches (40, 30, 4), so its torsion misses; both are lattice "no"s
+    calls = []
+    real = monoids.linalg.solve
+
+    def counted(A, b):
+        calls.append(tuple(b))
+        return real(A, b)
+
+    monkeypatch.setattr(monoids.linalg, "solve", counted)
+    assert monoids._after_first_pass(N2, Z2.element([41, 20])) is False
+    assert monoids._after_first_pass(N6, Z2T6.element([40, 30, 1])) is False
+    assert calls == [(41, 20), (40, 30, 1)]
+    # the LP vertex of each member is integral, and (0, -30, 40) lies outside
+    # the cone: x + 2y >= 0 holds on every generator
+    monkeypatch.setattr(monoids.linalg, "solve", _later_tier)
+    monkeypatch.setattr(monoids, "has_nonneg_solution", _later_tier)
+    for N, t, want in [(N3, [110, 25, 58], True), (N2, [40, 20], True),
+                       (N6, [40, 30, 4], True), (N3, [0, -30, 40], False)]:
+        assert monoids._after_first_pass(N, N.ambient.element(t)) is want, t
+
+
+def test_a_forged_integral_vertex_is_crosschecked(monkeypatch):
+    G = FgAbelianGroup(2)
+    N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
+    m = G.element([30, 1])
+    assert monoids._after_first_pass(N, m) is True
+    # (1, 0) is integral but reaches (1, 0), not (30, 1)
+    forged = monoids.lp.LPResult((1, 0), None)
+    monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: forged)
+    with pytest.raises(StructuralError, match="LP vertex"):
+        monoids._after_first_pass(N, m)
+
+
+def test_pure_torsion_targets_skip_the_empty_vertex():
+    # with no free rows the LP returns an empty vertex, which is no witness
+    T = FgAbelianGroup(0, (1000,))
+    N = Submonoid.generated_by(T, [[7]])
+    with pytest.raises(ResourceLimitError):
+        has_nonneg_solution([(7,)], (999,), (1000,), max_nodes=monoids.FIRST_PASS_NODES)
+    ZT = FgAbelianGroup(1, (1000,))
+    M = Submonoid.generated_by(ZT, [[1, 7], [-1, 0]])
+    monoids._cached_contains.cache_clear()
+    for L, m in [(N, T.element([1])), (N, T.element([3])), (N, T.element([999])),
+                 (M, ZT.element([5, 3]))]:
+        assert monoids._after_first_pass(L, m) is True, m
+        assert contains(L, m) is True, m
+
+
 def test_cross_ambient_membership_rejected():
     with pytest.raises(StructuralError):
         contains(NAT, Z2.zero())
