@@ -17,7 +17,11 @@ class StructuralError(MagnetError):
 
 def crosscheck(ok, message, *args):
     """Raise StructuralError(message % args) unless ok, also under python -O:
-    the one check through which every result computed two ways is compared."""
+    the one check through which every result computed two ways is compared.
+
+    The message is formatted only when the check fails, so pass the objects
+    it names (a monoid N for %s, not N.describe()) and a check that passes
+    costs nothing beyond ok itself."""
     if not ok:
         raise StructuralError(message % args)
 

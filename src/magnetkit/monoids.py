@@ -16,8 +16,8 @@ submonoid.  Membership is decided in tiers, each exact where it answers:
    coordinates) with a budget of FIRST_PASS_NODES nodes settles most of
    the rest;
 4. one that overflows goes to a cone feasibility test by exact LP
-   (magnetkit.lp), whose "no" is final and carries a Farkas separator
-   checked by multiplication;
+   (magnetkit.lp), whose "no" is final and carries an integer Farkas
+   separator checked by integer multiplication;
 5. an integral LP vertex x is a witness: sum x_i g_i, formed in the group,
    must have m's free part (a check of the LP), and "yes" is final when
    its torsion part matches as well;
@@ -31,7 +31,11 @@ least L, read off the target's coordinates, and the C(L + k, k)
 combinations of length <= L over the k generator and torsion-slack columns
 exceed FIRST_PASS_NODES, the pass cannot reach a witness, and the question
 goes to tier 4 at once.  Past the first two tiers every route ends in the
-complete solver, so no answer depends on the route.
+complete solver, so no answer depends on the route.  The LP works in
+integers throughout: its vertex comes as numerators over one denominator
+and its separator as an integer multiple, so the checks of tiers 4 and 5
+are integer dot products over the generators' coordinates, and their
+messages, which name the monoid, are formatted only when a check fails.
 
 As contains is the only route to the solver, positive_grading is the only
 route to the positive-covector search, a lazy depth-first search in lex
@@ -113,6 +117,9 @@ class Submonoid:
             return "[0]"
         return "[" + ", ".join(repr(g) for g in self.generators) + ">"
 
+    # a crosscheck message names the monoid by %s, formatted only on failure
+    __str__ = describe
+
 
 # entries kept by the membership and ideal caches; the heaviest single calls
 # (closed root subsets of G2, the A3 adjoint magnets) stay below 7000
@@ -185,43 +192,48 @@ def _witness_length_bound(columns, free: Sequence[int]) -> int:
 def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
     """Membership of m in N by five tiers, each exact where it answers.
 
+    The LP's rows are the free rows of the generator coordinate columns,
+    and it answers in integers over its denominator d (magnetkit.lp).
+
     1. Cone: the free part of m must lie in the rational cone of the free
-       parts; "no" comes with the LP's Farkas separator y, checked by
-       multiplication, and means no.
-    2. Integral vertex: an integral LP vertex x is a witness of the free
-       part, checked by forming sum x_i g_i; "yes" when its torsion part
-       matches too.
+       parts; "no" comes with d times the LP's Farkas separator y, itself
+       a separator, checked by integer dot products, and means no.
+    2. Integral vertex: a vertex whose numerators x are all divisible by d
+       is a witness x // d of the free part, checked by forming
+       sum (x_i // d) g_i; "yes" when its torsion part matches too.
     3. Lattice: m must be an integer combination of the generators and the
        torsion orders; "no" comes with a character, checked by
        multiplication in linalg.solve, and means no.
-    4. LP rounding: floor the same LP vertex x and ask the solver whether
-       the residual m - sum floor(x_i) g_i lies in N; "yes" means yes.  A
-       "no" backs every floor off by 1, 2, 4, ..., which moves the residual
-       deeper into the cone, until a residual is a member, the solver caps,
-       or the residual would be m itself.
+    4. LP rounding: floor the same LP vertex, x // d, and ask the solver
+       whether the residual m - sum (x_i // d) g_i lies in N; "yes" means
+       yes.  A "no" backs every floor off by 1, 2, 4, ..., which moves the
+       residual deeper into the cone, until a residual is a member, the
+       solver caps, or the residual would be m itself.
     5. The complete solver at its full node cap.
     """
     G = N.ambient
-    moduli = (0,) * G.free_rank + G.torsion_orders
+    f = G.free_rank
+    moduli = (0,) * f + G.torsion_orders
     columns = [g.coords for g in N.generators]
-    cone = lp.simplex([[g.free[i] for g in N.generators] for i in range(G.free_rank)], m.free)
-    if cone.separator is not None:
+    cone = lp.simplex([[c[i] for c in columns] for i in range(f)], m.free)
+    x, d = cone.x, cone.d
+    if x is None:
+        # d y, and dot stops at the free coordinates, the length of y
         y = cone.separator
-        crosscheck(all(linalg.dot(y, g.free) >= 0 for g in N.generators)
-                   and linalg.dot(y, m.free) < 0,
-                   "cone separator %r does not separate %r from %s", y, m, N.describe())
+        crosscheck(all(linalg.dot(y, c) >= 0 for c in columns) and linalg.dot(y, m.coords) < 0,
+                   "cone separator %r does not separate %r from %s", y, m, N)
         return False
-    # with no free rows the LP has no columns and its vertex is empty
-    if len(cone.x) == len(columns) and all(v.denominator == 1 for v in cone.x):
-        total = G.element(sum(int(v) * c[i] for v, c in zip(cone.x, columns))
-                          for i in range(G.coord_count))
-        crosscheck(total.free == m.free, "LP vertex %r does not solve the free part of %r in %s",
-                   cone.x, m, N.describe())
+    # with no free rows, or no generators, the vertex is empty: no witness
+    if x and all(v % d == 0 for v in x):
+        k = [v // d for v in x]
+        total = G.element(linalg.dot(k, row) for row in zip(*columns))
+        crosscheck(total.free == m.free,
+                   "LP vertex %r over %d does not solve the free part of %r in %s", x, d, m, N)
         if total == m:
             return True
     if linalg.solve(_lattice_matrix(G, columns), m.coords) is None:
         return False
-    floors = [math.floor(v) for v in cone.x]
+    floors = [v // d for v in x]
     back = 0
     while any(v > back for v in floors):
         residual = G.element(

@@ -19,8 +19,10 @@ def test_feasible_system_returns_a_vertex_that_solves_it():
     b = [3, 1]
     res = simplex(A, b)
     assert res.separator is None
-    assert all(v >= 0 for v in res.x)
-    assert [dot(row, res.x) for row in A] == b
+    # the vertex (2, 1, 0) comes as numerators over the denominator 2
+    assert res == LPResult((4, 2, 0), None, 2)
+    assert all(type(v) is int and v >= 0 for v in res.x)
+    assert [dot(row, res.x) for row in A] == [res.d * v for v in b]
     # a vertex: its nonzero columns are linearly independent, here at most two
     assert sum(1 for v in res.x if v) <= len(b)
 
@@ -33,6 +35,7 @@ def test_infeasible_system_carries_a_farkas_separator():
         res = simplex(A, b)
         assert res.x is None
         y = res.separator
+        assert all(type(v) is int for v in y)
         assert all(dot(y, col) >= 0 for col in columns(A))
         assert dot(y, b) < 0
 
@@ -41,11 +44,11 @@ def test_redundant_rows_are_dropped():
     # the doubled row keeps its artificial in the basis at level 0, and the
     # vertex is read off the original columns alone
     A = [[1, 1], [2, 2]]
-    assert simplex(A, [1, 2]) == LPResult((1, 0), None)
+    assert simplex(A, [1, 2]) == LPResult((1, 0), None, 1)
 
 
 def test_empty_system_is_feasible_at_zero():
-    assert simplex([], []) == LPResult((), None)
+    assert simplex([], []) == LPResult((), None, 1)
 
 
 def test_ragged_rows_are_rejected():
@@ -74,7 +77,8 @@ def test_entries_must_be_integers(A, b):
 def reference_simplex(A, b):
     """Phase one of Bland's-rule simplex over a Fraction tableau, which the
     integer tableau replaced: every pivot choice, and so every result, must
-    be the same."""
+    be the same.  Returns the pair (vertex, separator) as Fractions, with
+    reduced costs summed afresh for every column rather than kept as a row."""
     m = len(b)
     n = len(A[0]) if m else 0
     signs = [-1 if v < 0 else 1 for v in b]
@@ -121,12 +125,12 @@ def reference_simplex(A, b):
 
     if any(rows[r][-1] for r, j in enumerate(basis) if j >= n):
         y = [sum(rows[r][n + i] for r, j in enumerate(basis) if j >= n) for i in range(m)]
-        return LPResult(None, tuple(-s * v for s, v in zip(signs, y)))
+        return None, tuple(-s * v for s, v in zip(signs, y))
     x = [Fraction(0)] * n
     for r, j in enumerate(basis):
         if j < n:
             x[j] = rows[r][-1]
-    return LPResult(tuple(x), None)
+    return tuple(x), None
 
 
 def _seeded_system(rng):
@@ -151,13 +155,21 @@ def test_integer_tableau_matches_the_fraction_tableau():
     for _ in range(800):
         A, b = _seeded_system(rng)
         got = simplex(A, b)
-        assert got == reference_simplex(A, b), (A, b)
+        want_x, want_y = reference_simplex(A, b)
+        d = got.d
+        assert type(d) is int and d >= 1, (A, b)
         if got.separator is None:
+            assert want_y is None and all(type(v) is int for v in got.x), (A, b)
+            assert tuple(Fraction(v, d) for v in got.x) == want_x, (A, b)
             assert all(v >= 0 for v in got.x)
-            assert [dot(row, got.x) for row in A] == b
+            assert [dot(row, got.x) for row in A] == [d * v for v in b]
         else:
-            assert got.x is None
-            assert all(dot(got.separator, col) >= 0 for col in columns(A))
-            assert dot(got.separator, b) < 0
+            assert got.x is None and want_x is None, (A, b)
+            y = got.separator
+            assert all(type(v) is int for v in y), (A, b)
+            # d y for the reference's y: a positive integer multiple
+            assert y == tuple(d * v for v in want_y), (A, b)
+            assert all(dot(y, col) >= 0 for col in columns(A))
+            assert dot(y, b) < 0
         feasible.add(got.separator is None)
     assert feasible == {True, False}

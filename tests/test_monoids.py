@@ -292,12 +292,9 @@ def test_a_target_with_zero_free_part_still_reaches_the_solver(monkeypatch):
     assert calls == [(0, 1)]
 
 
-@pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
-@pytest.mark.parametrize("f", [1, 2, 3])
-def test_routed_answers_match_the_complete_solver(f, orders):
-    # sharp monoids only: with a unit pair the bare solver at its full cap
-    # takes seconds on some routed questions and caps on others; the tiers'
-    # answers there are checked by test_tiers_agree_with_certified_answers
+def _routed_questions(f, orders):
+    """The seed-0 questions of _tier_questions on a sharp monoid that
+    _cached_contains routes past the first pass."""
     N, questions = _tier_questions(repr((f, orders, False, 0)), f, orders, False)
     columns = [g.coords for g in N.generators]
     k = len(columns) + 2 * len(orders)
@@ -305,6 +302,17 @@ def test_routed_answers_match_the_complete_solver(f, orders):
               if math.comb(monoids._witness_length_bound(columns, m.free) + k, k)
               > monoids.FIRST_PASS_NODES]
     assert routed
+    return N, routed
+
+
+@pytest.mark.parametrize("orders", [(), (2,), (3,)], ids=["free", "Z2", "Z3"])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_routed_answers_match_the_complete_solver(f, orders):
+    # sharp monoids only: with a unit pair the bare solver at its full cap
+    # takes seconds on some routed questions and caps on others; the tiers'
+    # answers there are checked by test_tiers_agree_with_certified_answers
+    N, routed = _routed_questions(f, orders)
+    columns = [g.coords for g in N.generators]
     monoids._cached_contains.cache_clear()
     for m, want in routed:
         full = has_nonneg_solution(columns, m.coords, (0,) * f + orders)
@@ -326,24 +334,37 @@ def test_cone_tier_no_is_crosschecked(monkeypatch):
     m = G.element([-30, 1])
     assert monoids._after_first_pass(N, m) is False
     # (0, 1) is >= 0 on both generators but also on m, so it separates nothing
-    wrong = monoids.lp.LPResult(None, (0, 1))
+    wrong = monoids.lp.LPResult(None, (0, 1), 1)
     monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: wrong)
-    with pytest.raises(StructuralError, match="cone separator"):
+    with pytest.raises(StructuralError, match="cone separator") as raised:
         monoids._after_first_pass(N, m)
+    assert str(raised.value).endswith(" from " + N.describe())
 
 
 def _later_tier(*args, **kwargs):
     raise AssertionError("a question the cone tiers answer reached a later tier")
 
 
-def test_the_cone_and_an_integral_vertex_answer_before_the_lattice(monkeypatch):
+def _cone_questions():
+    """Deep questions the cone tiers answer, each with its answer, and two
+    lattice "no"s past them."""
     Z3 = FgAbelianGroup(3)
     Z2T6 = FgAbelianGroup(2, (6,))
     N3 = Submonoid.generated_by(Z3, Z3_FAMILY)
     N2 = Submonoid.generated_by(Z2, [[2, 0], [1, 1], [0, 2], [1, -1]])
     N6 = Submonoid.generated_by(Z2T6, [[1, 0, 1], [0, 1, 2], [1, 1, 3], [2, -1, 0]])
+    # the LP vertex of each member is integral, and (0, -30, 40) lies outside
+    # the cone: x + 2y >= 0 holds on every generator
+    cone = [(N3, Z3.element([110, 25, 58]), True), (N2, Z2.element([40, 20]), True),
+            (N6, Z2T6.element([40, 30, 4]), True), (N3, Z3.element([0, -30, 40]), False)]
     # (41, 20) has a half-integral vertex; the integral vertex of (40, 30, 1)
     # reaches (40, 30, 4), so its torsion misses; both are lattice "no"s
+    lattice = [(N2, Z2.element([41, 20]), False), (N6, Z2T6.element([40, 30, 1]), False)]
+    return cone, lattice
+
+
+def test_the_cone_and_an_integral_vertex_answer_before_the_lattice(monkeypatch):
+    cone, lattice = _cone_questions()
     calls = []
     real = monoids.linalg.solve
 
@@ -352,16 +373,38 @@ def test_the_cone_and_an_integral_vertex_answer_before_the_lattice(monkeypatch):
         return real(A, b)
 
     monkeypatch.setattr(monoids.linalg, "solve", counted)
-    assert monoids._after_first_pass(N2, Z2.element([41, 20])) is False
-    assert monoids._after_first_pass(N6, Z2T6.element([40, 30, 1])) is False
+    for N, m, want in lattice:
+        assert monoids._after_first_pass(N, m) is want, m
     assert calls == [(41, 20), (40, 30, 1)]
-    # the LP vertex of each member is integral, and (0, -30, 40) lies outside
-    # the cone: x + 2y >= 0 holds on every generator
     monkeypatch.setattr(monoids.linalg, "solve", _later_tier)
     monkeypatch.setattr(monoids, "has_nonneg_solution", _later_tier)
-    for N, t, want in [(N3, [110, 25, 58], True), (N2, [40, 20], True),
-                       (N6, [40, 30, 4], True), (N3, [0, -30, 40], False)]:
-        assert monoids._after_first_pass(N, N.ambient.element(t)) is want, t
+    for N, m, want in cone:
+        assert monoids._after_first_pass(N, m) is want, m
+
+
+def test_a_deep_answer_formats_no_message(monkeypatch):
+    # every check passes, so no crosscheck message names its monoid
+    cone, lattice = _cone_questions()
+    routed = []
+    for f in [1, 2, 3]:
+        for orders in [(), (2,), (3,)]:
+            N, questions = _routed_questions(f, orders)
+            routed += [(N, m, want) for m, want in questions]
+    described = []
+    real = Submonoid.describe
+
+    def counted(self):
+        described.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Submonoid, "describe", counted)
+    monkeypatch.setattr(Submonoid, "__str__", counted)
+    for N, m, want in cone + lattice:
+        assert monoids._after_first_pass(N, m) is want, m
+    monoids._cached_contains.cache_clear()
+    for N, m, want in routed:
+        assert contains(N, m) is want, m
+    assert described == []
 
 
 def test_a_forged_integral_vertex_is_crosschecked(monkeypatch):
@@ -369,11 +412,12 @@ def test_a_forged_integral_vertex_is_crosschecked(monkeypatch):
     N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
     m = G.element([30, 1])
     assert monoids._after_first_pass(N, m) is True
-    # (1, 0) is integral but reaches (1, 0), not (30, 1)
-    forged = monoids.lp.LPResult((1, 0), None)
+    # (2, 0) over 2 is the integral (1, 0), which reaches (1, 0), not (30, 1)
+    forged = monoids.lp.LPResult((2, 0), None, 2)
     monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: forged)
-    with pytest.raises(StructuralError, match="LP vertex"):
+    with pytest.raises(StructuralError, match="LP vertex") as raised:
         monoids._after_first_pass(N, m)
+    assert str(raised.value).endswith(" in " + N.describe())
 
 
 def test_pure_torsion_targets_skip_the_empty_vertex():
