@@ -56,9 +56,6 @@ def _schema() -> dict:
 _ANNOTATIONS = frozenset({"$schema", "$id", "$defs", "title", "description"})
 _TYPES = {"object": dict, "array": list, "string": str}
 
-# the errors of an instance that has none, shared by every check
-_VALID = ()
-
 
 def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
@@ -68,152 +65,149 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Number) and not isinstance(x, bool)
 
 
-def _error(message: str) -> tuple:
-    """One error at the instance itself."""
-    return (((), message),)
+class _Invalid(Exception):
+    """The first error a compiled check meets; path lists the keys and indices
+    down to the offending value, innermost first, added as it passes up."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.path = []
 
 
-def _under(key, errors: tuple) -> tuple:
-    """The errors of the entry key of an instance, as errors of the instance."""
-    return tuple(((key,) + path, message) for path, message in errors)
+def _fail(message: str):
+    raise _Invalid(message)
 
 
 def _compile(node, refs: dict):
-    """The check of one schema node: a function from an instance to every
-    error Draft 2020-12 validation finds in it, as (path, message) pairs,
-    path the tuple of keys and indices from the instance to the offending
-    value, and the shared _VALID when there is none.
+    """The check of one schema node: a function of an instance that returns
+    when Draft 2020-12 validation finds no error in it, and otherwise raises
+    _Invalid at the first error by location.
 
-    Order and wording are those of the reference validator the tests compare
-    against (Draft202012Validator, release 4.26): keywords in the node's
-    order, and each keyword's errors in the order that validator yields
-    them, except that a schema-valued additionalProperties reports its extra
-    keys in the document's order; they lie at distinct paths, so the first
-    error by location is the same.  Each keyword checks only instances of
-    its own type; a bool is no integer, and pattern is re.search.  Instances
-    are documents as json.load reads them with parse_float=Decimal, so the
-    only floats are NaN and the infinities.  A $ref is compiled in place
+    It walks the instance in location order: the node's keywords about the
+    instance itself first, in the node's order, as their errors lie at the
+    instance; then an object's entries by key, or an array's items by index.
+    A path sorts before the paths under it, keys as strings and indices as
+    ints, so the error raised is the least by location, and of equal ones
+    the first in the order of the reference validator the tests compare
+    against (Draft202012Validator, release 4.26), whose wording it uses.
+    Each keyword checks only instances of its own type; a bool is no
+    integer, and pattern is re.search.  Instances are documents as json.load
+    reads them with parse_float=Decimal, so the only floats are NaN and the
+    infinities.  A $ref, the only keyword of its node, is compiled in place
     from the node refs maps it to (no node refers to itself), so a check
-    walks no references.  A keyword without a check here raises ValueError
-    naming it.
+    walks no references.  A keyword without a check here raises ValueError.
     """
-    checks = [_keyword(key, value, node, refs) for key, value in node.items()
-              if key not in _ANNOTATIONS]
+    checks = _checks(node, refs)
     if len(checks) == 1:
         return checks[0]
 
-    def errors(x):
-        found = _VALID
+    def check_all(x):
         for check in checks:
-            e = check(x)
-            if e:
-                found += e
-        return found
+            check(x)
 
-    return errors
+    return check_all
+
+
+def _checks(node, refs: dict) -> list:
+    """The checks of node's keywords, in the order _compile runs them."""
+    keys = [key for key in node if key not in _ANNOTATIONS]
+    if keys == ["$ref"] and node["$ref"] in refs:
+        return _checks(refs[node["$ref"]], refs)
+    # the entry keywords, whose argument is an object (properties, items, a
+    # schema as additionalProperties), run last: their errors lie deeper
+    keys.sort(key=lambda key: isinstance(node[key], dict))
+    return [check for key in keys if (check := _keyword(key, node[key], node, refs))]
 
 
 def _keyword(key, value, node, refs):
-    """The check of one keyword of node, value its argument."""
-    if key == "$ref" and value in refs:
-        return _compile(refs[value], refs)
-    if key == "type" and value == "integer":
-        return lambda x: _VALID if _is_integer(x) else _error(
-            f"{x!r} is not of type 'integer'")
-    if key == "type" and value in ("object", "array", "string"):
-        cls = _TYPES[value]
-        return lambda x: _VALID if isinstance(x, cls) else _error(
-            f"{x!r} is not of type {value!r}")
-    if key == "properties":
-        subs = [(name, _compile(sub, refs)) for name, sub in value.items()]
+    """The check of one keyword of node, value its argument.  One check walks
+    an object's entries, built at a schema as additionalProperties if there
+    is one, else at properties; None for the other of the two."""
+    extra = node.get("additionalProperties")
+    if key in ("properties", "additionalProperties") and isinstance(value, dict):
+        if key == "properties" and isinstance(extra, dict):
+            return None
+        named = {name: _compile(sub, refs) for name, sub in node.get("properties", {}).items()}
+        names = sorted(named)
+        other = _compile(extra, refs) if isinstance(extra, dict) else None
 
-        def properties(x):
-            found = _VALID
+        def entries(x):
             if isinstance(x, dict):
-                for name, sub in subs:
-                    if name in x:
-                        e = sub(x[name])
-                        if e:
-                            found += _under(name, e)
-            return found
+                try:
+                    for name in sorted(x) if other else names:
+                        if name in x:
+                            named.get(name, other)(x[name])
+                except _Invalid as e:
+                    e.path.append(name)
+                    raise
 
-        return properties
-    if key == "additionalProperties":
-        known = frozenset(node.get("properties", ()))
-        if value is False:
-            def no_extras(x):
-                if not isinstance(x, dict) or known.issuperset(x):
-                    return _VALID
-                extras = sorted(k for k in x if k not in known)
-                return _error("Additional properties are not allowed (%s %s unexpected)" % (
-                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
-
-            return no_extras
-        sub = _compile(value, refs)
-
-        def extras(x):
-            found = _VALID
-            if isinstance(x, dict):
-                for k, v in x.items():
-                    if k not in known:
-                        e = sub(v)
-                        if e:
-                            found += _under(k, e)
-            return found
-
-        return extras
-    if key == "required":
-        need = frozenset(value)
-
-        def required(x):
-            if not isinstance(x, dict) or x.keys() >= need:
-                return _VALID
-            return tuple(((), f"{name!r} is a required property")
-                         for name in value if name not in x)
-
-        return required
+        return entries
     if key == "items":
-        sub = _compile(value, refs)
+        item = _compile(value, refs)
 
         def items(x):
-            if not isinstance(x, list):
-                return _VALID
-            found = list(map(sub, x))
-            if not any(found):
-                return _VALID
-            return tuple(err for i, e in enumerate(found) if e for err in _under(i, e))
+            if isinstance(x, list):
+                try:
+                    for i, v in enumerate(x):
+                        item(v)
+                except _Invalid as e:
+                    e.path.append(i)
+                    raise
 
         return items
+    if key == "type" and value == "integer":
+        return lambda x: _is_integer(x) or _fail(f"{x!r} is not of type 'integer'")
+    if key == "type" and value in ("object", "array", "string"):
+        cls = _TYPES[value]
+        return lambda x: isinstance(x, cls) or _fail(f"{x!r} is not of type {value!r}")
+    if key == "additionalProperties" and value is False:
+        known = frozenset(node.get("properties", ()))
+
+        def no_extras(x):
+            if isinstance(x, dict) and not known.issuperset(x):
+                extras = sorted(k for k in x if k not in known)
+                _fail("Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were"))
+
+        return no_extras
+    if key == "required":
+        need = frozenset(value)
+        return lambda x: not isinstance(x, dict) or x.keys() >= need or _fail(
+            "%r is a required property" % next(n for n in value if n not in x))
     if key in ("minItems", "minLength"):
         cls = list if key == "minItems" else str
         short = "should be non-empty" if value == 1 else "is too short"
-        return lambda x: _error(f"{x!r} {short}") if (
-            isinstance(x, cls) and len(x) < value) else _VALID
+        return lambda x: not (isinstance(x, cls) and len(x) < value) or _fail(f"{x!r} {short}")
     if key == "minimum":
-        return lambda x: _error(f"{x!r} is less than the minimum of {value!r}") if (
-            _is_number(x) and x < value) else _VALID
+        return lambda x: not (_is_number(x) and x < value) or _fail(
+            f"{x!r} is less than the minimum of {value!r}")
     if key == "maximum":
-        return lambda x: _error(f"{x!r} is greater than the maximum of {value!r}") if (
-            _is_number(x) and x > value) else _VALID
+        return lambda x: not (_is_number(x) and x > value) or _fail(
+            f"{x!r} is greater than the maximum of {value!r}")
     if key == "enum" and all(isinstance(v, str) for v in value):
         # Draft 2020-12 compares a string only by ==, so membership is exact
-        return lambda x: _VALID if x in value else _error(f"{x!r} is not one of {value!r}")
+        return lambda x: x in value or _fail(f"{x!r} is not one of {value!r}")
     if key == "pattern":
         search = re.compile(value).search
-        return lambda x: _error(f"{x!r} does not match {value!r}") if (
-            isinstance(x, str) and search(x) is None) else _VALID
+        return lambda x: not (isinstance(x, str) and search(x) is None) or _fail(
+            f"{x!r} does not match {value!r}")
     if key == "oneOf":
         subs = [(sub, _compile(sub, refs)) for sub in value]
 
         def one_of(x):
-            valid = [sub for sub, check in subs if not check(x)]
+            valid = []
+            for sub, check in subs:
+                try:
+                    check(x)
+                    valid.append(sub)
+                except _Invalid:
+                    pass
             if not valid:
-                return _error(f"{x!r} is not valid under any of the given schemas")
-            if len(valid) == 1:
-                return _VALID
-            # the reference lists the later valid branches, then the first
-            return _error(f"{x!r} is valid under each of "
-                          + ", ".join(map(repr, valid[1:] + valid[:1])))
+                _fail(f"{x!r} is not valid under any of the given schemas")
+            if len(valid) > 1:
+                # the reference lists the later valid branches, then the first
+                _fail(f"{x!r} is valid under each of "
+                      + ", ".join(map(repr, valid[1:] + valid[:1])))
 
         return one_of
     raise ValueError("schema keyword %r has no compiled check (argument %r)"
@@ -222,9 +216,10 @@ def _keyword(key, value, node, refs):
 
 # compiled once, when the module loads, and kept as a constant rather than a
 # cached builder, so clearing the library's caches does not compile it again;
-# load_problem checks every file with it
+# check_schema runs the root's checks in its own frame: one frame more would
+# move the nesting at which quoting a bad value passes the recursion limit
 _SCHEMA = _schema()
-schema_errors = _compile(
+_SCHEMA_CHECKS = _checks(
     _SCHEMA, {"#/$defs/" + name: node for name, node in _SCHEMA["$defs"].items()})
 
 _MESSAGE_CHARS = 200
@@ -235,13 +230,22 @@ def _clip(message: str) -> str:
     return message if len(message) <= _MESSAGE_CHARS else message[:_MESSAGE_CHARS] + "…"
 
 
+def check_schema(doc) -> None:
+    """Check doc against the shipped schema: its first error by location is
+    a SchemaError at that location, its message cut to _MESSAGE_CHARS."""
+    try:
+        for check in _SCHEMA_CHECKS:
+            check(doc)
+    except _Invalid as e:
+        where = "/".join(map(str, reversed(e.path))) or "(top level)"
+        raise SchemaError(_clip(str(e)), location=where) from None
+
+
 def load_problem(path: str) -> dict:
     """Read and check one problem file; any fault is a located SchemaError.
 
-    The document is checked against the shipped schema by schema_errors, the
-    check compiled from it at import, then for the coordinate lengths the
-    schema cannot express.  Of the schema errors of a rejected document, the
-    first by location is reported.
+    The document is checked by check_schema, against the shipped schema,
+    then for the coordinate lengths the schema cannot express.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -253,18 +257,11 @@ def load_problem(path: str) -> dict:
         # interpreter's digit limit, or nesting past the recursion limit
         raise SchemaError("not JSON: %s" % e, location=path)
     try:
-        problems = schema_errors(doc)
+        check_schema(doc)
     except RecursionError as e:
         # a message quotes the offending value, and the repr of a value
         # nested almost as deep as json.load allows can pass the limit
         raise SchemaError("nested too deep to check: %s" % e, location=path)
-    if problems:
-        # where two paths first differ they index the same node, so both
-        # entries are keys or both are list indices, and indices compare as
-        # ints; of equal paths, min keeps the first, as a stable sort does
-        where, message = min(problems, key=lambda e: e[0])
-        loc = "/".join(map(str, where)) or "(top level)"
-        raise SchemaError(_clip(message), location=loc)
     _check_coordinate_lengths(doc)
     return doc
 
@@ -750,9 +747,18 @@ def cmd_roots(path, type_name, levi_spec, parabolic_spec, xi_spec, zeta_spec, ro
     _emit(payload, as_json, lines)
 
 
+# basis lines cohomology builds from its weights, each mult expanded into
+# as many lines; 10,000 lines take about 0.35 s and 33 MB for one trial
+COHOMOLOGY_LINE_CAP = 10_000
+
+
 def _module_from_weights(doc, group) -> GradedFreeModule:
     if "weights" not in doc:
         raise SchemaError('cohomology needs a "weights" block', location="weights")
+    count = sum(w.get("mult", 1) for w in doc["weights"])
+    if count > COHOMOLOGY_LINE_CAP:
+        raise ResourceLimitError("cohomology over %d lines exceeds the cap of %d"
+                                 % (count, COHOMOLOGY_LINE_CAP))
     lines = {}  # line name -> degree, in file order
     for i, w in enumerate(doc["weights"]):
         label = w.get("label", "w%d" % i)

@@ -16,8 +16,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import magnetkit
-from magnetkit import cohomology
-from magnetkit.cli import _compile, _schema, main, schema_errors
+from magnetkit import cli, cohomology
+from magnetkit.cli import _clip, _compile, _schema, check_schema, main
+from magnetkit.errors import SchemaError
 
 SRC = pathlib.Path(magnetkit.__file__).parent.parent
 
@@ -358,28 +359,33 @@ def test_the_ref_free_validator_reports_what_the_schema_does():
     reference = jsonschema.Draft202012Validator(_schema())
 
     def want(doc):
+        # the least error by path; of equal paths, the first yielded
         found = sorted(reference.iter_errors(doc), key=lambda e: list(e.absolute_path))
-        return [(tuple(e.absolute_path), e.message) for e in found]
+        if found:
+            where = "/".join(map(str, found[0].absolute_path)) or "(top level)"
+            return where, _clip(found[0].message)
 
     def got(doc):
-        return sorted(schema_errors(doc), key=lambda e: e[0])
+        try:
+            check_schema(doc)
+        except SchemaError as e:
+            return e.location, str(e)
 
     for doc in VALID_DOCS:
-        assert schema_errors(doc) == () and want(doc) == []
+        assert got(doc) is None and want(doc) is None
     for doc, valid in EDGE_DOCS:
-        assert (not schema_errors(doc)) is reference.is_valid(doc) is valid, doc
+        assert (got(doc) is None) is reference.is_valid(doc) is valid, doc
         assert got(doc) == want(doc), doc
     rng = random.Random(14)
     worded = valid = 0
     for _ in range(5000):
         doc = broken_doc(rng)
-        accepted = not schema_errors(doc)
-        assert accepted is reference.is_valid(doc), doc
-        valid += accepted
+        error = got(doc)
+        assert (error is None) is reference.is_valid(doc), doc
+        valid += error is None
         if worded < 600:  # messages cost more to compare than verdicts
-            errors = want(doc)
-            assert got(doc) == errors, doc
-            worded += bool(errors)
+            assert error == want(doc), doc
+            worded += error is not None
     assert worded == 600
     assert 100 < valid < 1000
 
@@ -423,6 +429,19 @@ PINNED_ERRORS = {
          "chart": {"vars": [], "monoid_algebra": {"generators": []}}},
         "chart: {'vars': [], 'monoid_algebra': {'generators': []}} is valid under each of "
         "{'required': ['monoid_algebra']}, {'required': ['vars']}"),
+    # several errors, where document, keyword and location order disagree
+    "least-at-the-top": ({"nope": 1, "group": {"free_rank": -1}},
+                         "(top level): Additional properties are not allowed "
+                         "('nope' was unexpected)"),
+    "least-by-index": ({"group": {"free_rank": 1}, "monoid": {"generators": [["x"], "y"]}},
+                       "monoid/generators/0/0: 'x' is not of type 'integer'"),
+    "least-by-key": ({"weights": [{"degree": [1, 2]}], "group": {"free_rank": "1"},
+                      "monoid": {"generators": [[True]]}},
+                     "group/free_rank: '1' is not of type 'integer'"),
+    "least-extra-key": (
+        {"group": {"free_rank": 1},
+         "cochain": {"arity": 0, "entries": [{"args": [], "value": {"z": 2, "e": 3}}]}},
+        "cochain/entries/0/value/e: 3 is not of type 'string'"),
 }
 
 
@@ -903,6 +922,59 @@ def test_a_line_name_used_twice_is_located(tmp_path, weights, where):
     r = run("cohomology", "--input", path)
     assert r.exit_code == 2
     assert "schema error at %s: line name " % where in r.output
+
+
+def test_cohomology_refuses_more_lines_than_the_cap_before_building_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "COHOMOLOGY_LINE_CAP", 4)
+    doc = {"group": {"free_rank": 1}, "command-options": {"trials": 1},
+           "weights": [{"degree": [1], "label": "e", "mult": 3}, {"degree": [0], "mult": 1}]}
+    r = run("cohomology", "--input", write(tmp_path, "at_cap.json", doc))
+    assert (r.exit_code, r.stdout) == (0, "h1 suite: 1/1\n")
+    doc["weights"][1]["mult"] = 2
+
+    def build_line(*args):
+        raise AssertionError("a line was built past the cap")
+
+    monkeypatch.setattr(cli, "_split_degree", build_line)
+    r = run("cohomology", "--input", write(tmp_path, "past_cap.json", doc))
+    assert r.exit_code == 3, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == "resource limit: cohomology over 5 lines exceeds the cap of 4\n"
+
+
+@pytest.mark.parametrize("command, doc, code, line", [
+    ("faces", {"group": {"free_rank": 2}, "chart": {"vars": [{"name": "x", "degree": [1]}]},
+               "monoid": {"generators": []}},
+     2, "schema error at chart/vars/0/degree: expected 2 free coordinates"),
+    ("faces", {"group": {"free_rank": 0, "torsion": [2]},
+               "weights": [{"degree": [], "torsion": []}], "monoid": {"generators": []}},
+     2, "schema error at weights/0/torsion: expected 1 torsion residues"),
+    ("faces", {"group": {"free_rank": 2}, "monoid": {"generators": []},
+               "monoids": [{"generators": [[1, 0]]}, {"generators": [[1]]}]},
+     2, "schema error at monoids/1/generators/0: expected 2 coordinates"),
+    ("magnets", {"group": {"free_rank": 1}},
+     2, 'schema error at (top level): nothing to act on: add "chart", "charts" or "weights"'),
+    ("cohomology", {"group": {"free_rank": 1}},
+     2, 'schema error at weights: cohomology needs a "weights" block'),
+    ("cohomology", {"group": {"free_rank": 1}, "weights": [{"degree": [1]}]},
+     2, 'schema error: nothing to do: add "cochain" or pass --trials'),
+    ("faces", {"group": {"free_rank": 21},
+               "monoid": {"generators": [[int(i == j) for i in range(21)] for j in range(21)]}},
+     3, "resource limit: face enumeration over 21 generators exceeds the cap of 20"),
+], ids=["var-degree", "weight-torsion", "monoids-generator", "magnets-nothing",
+        "cohomology-no-weights", "cohomology-nothing-to-do", "faces-cap"])
+def test_refused_problem_files_are_worded_as_pinned(tmp_path, command, doc, code, line):
+    r = run(command, "--input", write(tmp_path, "refused.json", doc))
+    assert r.exit_code == code, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == line + "\n"
+
+
+def test_an_unknown_root_system_type_is_located_at_its_flag():
+    r = run("roots", "--type", "A9")
+    assert r.exit_code == 2, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == "schema error at --type: unknown root system type 'A9'\n"
 
 
 def test_bb_on_the_affine_line(tmp_path):

@@ -141,6 +141,14 @@ def test_support_report_group_algebra():
     assert rep.non_reduced is False
 
 
+def test_a_group_algebra_that_kills_zero_has_an_empty_support():
+    # 0 lies in [(1)>, but -1 escapes it, and X^0 = X^1 X^-1 is then killed
+    Z = FgAbelianGroup(1)
+    N0 = Submonoid.generated_by(Z, [[1], [-1]])
+    A = MonoidAlgebra(N0, MonoidIdeal(N0, avoided=(Submonoid.generated_by(Z, [[1]]),)))
+    assert support_report(A) == SupportReport((), True, 0, False)
+
+
 def test_a_finite_group_algebra_lists_its_whole_support():
     # word length reaches 50 in Z/100, and 30 in Z x Z/60 under +-(0,1)
     G = FgAbelianGroup(0, (100,))

@@ -328,6 +328,27 @@ def test_witness_case_past_the_old_node_cap():
     assert contains(N, G.element([32, 32, 32]))
 
 
+def test_a_capped_rounding_residual_leaves_the_question_to_the_complete_solver(monkeypatch):
+    # 7 is in the cone and the lattice of <2, 3>, and the LP vertex, 7/2 or
+    # 7/3 on one generator, is not integral, so the rounding tier runs: its
+    # floor leaves the residual 1, whose solver call caps here
+    G = FgAbelianGroup(1)
+    N = Submonoid.generated_by(G, [[2], [3]])
+    m = G.element([7])
+    calls = []
+    real = monoids.has_nonneg_solution
+
+    def residuals_cap(columns, target, moduli, **kwargs):
+        calls.append(tuple(target))
+        if tuple(target) != m.coords:
+            raise ResourceLimitError("capped residual")
+        return real(columns, target, moduli, **kwargs)
+
+    monkeypatch.setattr(monoids, "has_nonneg_solution", residuals_cap)
+    assert monoids._after_first_pass(N, m) is True
+    assert calls == [(1,), (7,)]
+
+
 def test_cone_tier_no_is_crosschecked(monkeypatch):
     G = FgAbelianGroup(2)
     N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
@@ -870,6 +891,12 @@ def test_bounded_members_slice():
         Z2.element([a, b]) for a in range(3) for b in range(3) if h.degree(Z2.element([a, b])) <= 2
     }
     assert members == want
+
+
+def test_bounded_members_needs_a_positive_degree_on_every_generator():
+    # the first coordinate is 0 on the generator (0, 1)
+    with pytest.raises(PreconditionError, match="a slice needs a positive degree on every generator"):
+        monoids.bounded_members(NAT2, 2, lambda g: g.coords[0])
 
 
 # --- simplicial monoids ----------------------------------------------------------
