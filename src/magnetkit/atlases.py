@@ -11,7 +11,9 @@ monoid-algebra chart at zero plus its generators is exact: the killed ideal
 is generated by its generator-level members.  (If m is a minimal ideal
 member, m itself escapes the magnet; decomposing m into chart generators,
 either some generator is an ideal member, or all divisors of all generators
-lie in the magnet and then so does their sum m.)
+lie in the magnet and then so does their sum m.)  On [S> for a closed
+subset S of the degree support E, one with [S> meeting E exactly in S, a
+free or weight chart needs no question: it kills its degrees outside S.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Union
 from .errors import ResourceLimitError, StructuralError, crosscheck
 from .graded import FreePoly, MonoidAlgebra, MonoidIdeal, WeightModule
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import Submonoid, closed_sets
+from .monoids import Submonoid, closed_sets, maximal_without
 
 Chart = Union[FreePoly, MonoidAlgebra, WeightModule]
 
@@ -88,9 +90,25 @@ def _generated(atlas: EquivariantAtlas, subset: Iterable[GroupElement]) -> Submo
 _TABLES_KEPT = 1
 
 
+def _closed_fingerprint(atlas: EquivariantAtlas, S: frozenset) -> tuple[frozenset, ...]:
+    """fingerprint(atlas, [S>) for a closed S: a free or weight chart kills
+    its degrees outside S, and a monoid-algebra chart is probed on [S>."""
+    return tuple(
+        _chart_fingerprint(chart, _generated(atlas, S)) if isinstance(chart, MonoidAlgebra)
+        else frozenset(_chart_degrees(chart)).difference(S)
+        for _, chart in atlas.charts
+    )
+
+
 @lru_cache(maxsize=_TABLES_KEPT)
 def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
-    """All closed S (with [S> meeting E exactly in S), with fingerprints."""
+    """All closed S (with [S> meeting E exactly in S), with fingerprints.
+
+    closed_sets lists them.  One question per degree e and listed set
+    maximal among those without e (maximal_without), whose monoid must miss
+    e, then certifies every listed set closed, so its fingerprint is
+    _closed_fingerprint's.
+    """
     E = degree_support(atlas)
     if len(E) > cap:
         raise ResourceLimitError(
@@ -101,8 +119,12 @@ def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
         gen = _generated(atlas, (E[i] for i in S))
         return (i for i, e in enumerate(E) if i in S or gen.contains(e))
 
-    closed = (frozenset(E[i] for i in C) for C in closed_sets(len(E), closure))
-    return tuple((S, fingerprint(atlas, _generated(atlas, S))) for S in closed)
+    closed = list(closed_sets(len(E), closure))
+    for p, C in maximal_without(len(E), closed):
+        crosscheck(not _generated(atlas, (E[i] for i in C)).contains(E[p]),
+                   "a listed subset generates the degree %r outside it", E[p])
+    subsets = (frozenset(E[i] for i in C) for C in closed)
+    return tuple((S, _closed_fingerprint(atlas, S)) for S in subsets)
 
 
 def pure_magnet(atlas: EquivariantAtlas, N, cap: int = 20) -> Submonoid:
@@ -111,11 +133,19 @@ def pure_magnet(atlas: EquivariantAtlas, N, cap: int = 20) -> Submonoid:
     Every magnet's attractor equals that of its trace on the degree support,
     and equal-fingerprint closed subsets are stable under intersection, so
     the minimum is generated by the intersection of all matching ones.
+
+    On an atlas with no monoid-algebra chart that intersection is E ∩ N,
+    read off N's fingerprint without the table of closed subsets, so cap
+    does not apply there: E ∩ N is closed, as [E ∩ N> lies in N, and it is
+    the only closed set with N's fingerprint, the chart degrees outside it.
     """
     fp = fingerprint(atlas, N)
-    matching = [S for S, sfp in _closed_subset_table(atlas, cap) if sfp == fp]
-    crosscheck(matching, "no closed subset matches the magnet fingerprint")
-    core = frozenset.intersection(*matching)
+    if any(isinstance(chart, MonoidAlgebra) for _, chart in atlas.charts):
+        matching = [S for S, sfp in _closed_subset_table(atlas, cap) if sfp == fp]
+        crosscheck(matching, "no closed subset matches the magnet fingerprint")
+        core = frozenset.intersection(*matching)
+    else:
+        core = frozenset(degree_support(atlas)).difference(*fp)
     result = _generated(atlas, core)
     crosscheck(fingerprint(atlas, result) == fp, "pure-magnet candidate changed the attractor")
     return result
@@ -185,10 +215,11 @@ def enumerate_magnets(atlas: EquivariantAtlas, cap: int = 20) -> MagnetPoset:
         classes.setdefault(fp, []).append(S)
     rows = []
     for fp, members in classes.items():
+        # an intersection of closed sets is closed
         core = frozenset.intersection(*members)
-        rep = _generated(atlas, core)
-        crosscheck(fingerprint(atlas, rep) == fp, "class intersection changed the attractor")
-        rows.append((core, rep, fp))
+        crosscheck(_closed_fingerprint(atlas, core) == fp,
+                   "class intersection changed the attractor")
+        rows.append((core, _generated(atlas, core), fp))
     rows.sort(key=lambda r: (len(r[0]), sorted(g.coords for g in r[0])))
     return MagnetPoset(
         tuple((rep, fp) for _, rep, fp in rows),

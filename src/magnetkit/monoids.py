@@ -336,6 +336,26 @@ def closed_sets(n: int, closure: Callable[[tuple[int, ...]], Iterable[int]]
             return
 
 
+def maximal_without(n: int, closed: Iterable[tuple[int, ...]]
+                    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The pairs (p, C), for p in range(n), with C maximal among the given
+    sets without p: by p, then by decreasing size.
+
+    A greedy pass over the sets, largest first, keeps each set without p
+    that lies in no kept one, so every given set without p lies in a kept
+    one.  That checks a monotone extension M (M(S) holds S, and S within C
+    gives M(S) within M(C)) on every given set at once: if no pair has p in
+    M(C), then M(S) meets range(n) exactly in S for every given S.
+    """
+    masks = [(sum(1 << i for i in C), C) for C in sorted(closed, key=len, reverse=True)]
+    for p in range(n):
+        kept = []
+        for m, C in masks:
+            if not m >> p & 1 and all(m | k != k for k in kept):
+                kept.append(m)
+                yield p, C
+
+
 def is_face(F: Submonoid, N: Submonoid) -> bool:
     """Whether F is a face of N: x + y in F iff x in F and y in F.
 

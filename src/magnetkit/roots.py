@@ -25,7 +25,7 @@ from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import CACHE_SIZE, Submonoid, closed_sets, is_face
+from .monoids import CACHE_SIZE, Submonoid, closed_sets, is_face, maximal_without
 
 
 @dataclass(frozen=True)
@@ -195,16 +195,16 @@ def _trace(rs: RootSystem, magnet) -> frozenset:
     return frozenset(r for r in rs.roots if magnet.contains(r))
 
 
-def _sum_closure(coords, idx, S) -> list[int]:
-    """The closure of the index set S under sums inside the root set: coords
-    lists the roots' coordinates and idx inverts it.  Roots lie in the free
-    lattice Z^lattice_rank, so sums are coordinate sums."""
+def _sum_closure(plus, S) -> list[int]:
+    """The closure of the index set S of roots under sums inside the root
+    set: plus(a, b) is the index of root a plus root b, or None when that
+    sum is not a root."""
     members = set(S)
     todo = list(S)
     while todo:
-        a = coords[todo.pop()]
-        for j in list(members):
-            k = idx.get(tuple(x + y for x, y in zip(a, coords[j])))
+        a = todo.pop()
+        for b in list(members):
+            k = plus(a, b)
             if k is not None and k not in members:
                 members.add(k)
                 todo.append(k)
@@ -216,12 +216,15 @@ def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
     arithmetic alone: the sum closure of zeta and its negatives inside the
     root set.  Every positive root of the span is a sum of roots of zeta
     whose partial sums are roots (Bourbaki, Lie Groups and Lie Algebras,
-    ch. VI, 1.6, Cor. 1), and the negative ones likewise."""
+    ch. VI, 1.6, Cor. 1), and the negative ones likewise.  Roots lie in the
+    free lattice Z^lattice_rank, so sums are coordinate sums, formed only
+    for the pairs the closure meets."""
     rs = datum.rootsystem
     coords = [r.coords for r in rs.roots]
     idx = {c: i for i, c in enumerate(coords)}
     S = [idx[a.coords] for a in zeta] + [idx[(-a).coords] for a in zeta]
-    return frozenset(rs.roots[i] for i in _sum_closure(coords, idx, S))
+    plus = lambda a, b: idx.get(tuple(map(add, coords[a], coords[b])))
+    return frozenset(rs.roots[i] for i in _sum_closure(plus, S))
 
 
 def _indices(rs: RootSystem, zeta) -> frozenset:
@@ -279,9 +282,11 @@ def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...
     """All root subsets closed under addition inside the root set.
 
     They are the closed sets of the pairwise-sum closure inside the root set,
-    listed by closed_sets; each is then verified to equal the root trace of
-    the monoid it generates, which is the form the magnet correspondence
-    uses.
+    listed by closed_sets over a table of pair sums built once per call.
+    Each is then the root trace of the monoid it generates, the form the
+    magnet correspondence uses: that is verified only for each root r and
+    each closed set maximal among those without r (maximal_without), whose
+    monoid must miss r; every closed set without r lies in one of them.
     """
     rs = datum.rootsystem
     n = len(rs.roots)
@@ -289,12 +294,13 @@ def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...
         raise ResourceLimitError("root set of size %d exceeds the cap %d" % (n, cap))
     coords = [r.coords for r in rs.roots]
     idx = {c: i for i, c in enumerate(coords)}
-    out = []
-    for C in closed_sets(n, partial(_sum_closure, coords, idx)):
+    sums = [[idx.get(tuple(map(add, a, b))) for b in coords] for a in coords]
+    closed = list(closed_sets(n, partial(_sum_closure, lambda a, b: sums[a][b])))
+    for p, C in maximal_without(n, closed):
         S = frozenset(rs.roots[i] for i in C)
-        crosscheck(_trace(rs, Submonoid(rs.ambient, tuple(S))) == S,
+        crosscheck(not Submonoid(rs.ambient, tuple(S)).contains(rs.roots[p]),
                    "closed subset %r is not its own monoid trace", S)
-        out.append(S)
+    out = (frozenset(rs.roots[i] for i in C) for C in closed)
     return tuple(sorted(out, key=lambda S: (len(S), sorted(r.coords for r in S))))
 
 

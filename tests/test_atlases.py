@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magnetkit.errors import ResourceLimitError
+from magnetkit import atlases
+from magnetkit.errors import ResourceLimitError, StructuralError
 from magnetkit.groups import FgAbelianGroup
 from magnetkit.graded import FreePoly, MonoidAlgebra, WeightModule, attractor
 from magnetkit.atlases import (
@@ -14,7 +16,7 @@ from magnetkit.atlases import (
     fingerprint,
     pure_magnet,
 )
-from magnetkit.monoids import Submonoid, bounded_members, same_submonoid
+from magnetkit.monoids import Submonoid, bounded_members, closed_sets, same_submonoid
 
 Z = FgAbelianGroup(1, ())
 Z2 = FgAbelianGroup(2, ())
@@ -207,20 +209,27 @@ def test_poset_fingerprints_distinct():
     assert len(set(fps)) == len(fps)
 
 
-def test_enumerate_cap():
-    a = EquivariantAtlas(
-        Z2,
-        (
-            (
-                "big",
-                FreePoly.of(
-                    Z2, [("v%d" % i, [i, 1]) for i in range(21)]
-                ),
-            ),
-        ),
+def wide_atlas():
+    """One free chart with the 21 degrees (i, 1), 0 <= i <= 20."""
+    return EquivariantAtlas(
+        Z2, (("big", FreePoly.of(Z2, [("v%d" % i, [i, 1]) for i in range(21)])),)
     )
+
+
+def test_enumerate_cap():
     with pytest.raises(ResourceLimitError):
-        enumerate_magnets(a)
+        enumerate_magnets(wide_atlas())
+
+
+def test_pure_magnet_past_the_cap_without_monoid_algebra_charts():
+    # no table of closed subsets is built: the answer is E ∩ N, read off N's
+    # fingerprint; (1,1) + (2,1) has second coordinate 2, outside E
+    a = wide_atlas()
+    N = Submonoid.generated_by(Z2, [[1, 1], [2, 1]])
+    assert pure_magnet(a, N) == N
+    alg = MonoidAlgebra(Submonoid.generated_by(Z2, [[1, 0]]))
+    with pytest.raises(ResourceLimitError):
+        pure_magnet(EquivariantAtlas(Z2, a.charts + (("V", alg),)), N)
 
 
 def test_json_shape():
@@ -259,3 +268,102 @@ def test_fingerprint_equality_matches_window_oracle(gens, ngens, lgens):
     same_fp = attractors_equal(atlas, N, L)
     same_window = window_killed(chart, N) == window_killed(chart, L)
     assert same_fp == same_window
+
+
+# --- set arithmetic against the table route ------------------------------------
+
+
+def _table_route(atlas):
+    """Every closed S with fingerprint(atlas, [S>), each fingerprint asked of
+    the monoid: the reference for the set arithmetic on free and weight
+    charts."""
+    E = degree_support(atlas)
+    G = atlas.grading_group
+
+    def closure(S):
+        gen = Submonoid(G, tuple(E[i] for i in S))
+        return (i for i, e in enumerate(E) if i in S or gen.contains(e))
+
+    subsets = [frozenset(E[i] for i in C) for C in closed_sets(len(E), closure)]
+    return [(S, fingerprint(atlas, Submonoid(G, tuple(S)))) for S in subsets]
+
+
+def _table_poset(table):
+    classes = {}
+    for S, fp in table:
+        classes.setdefault(fp, []).append(S)
+    return sorted(((frozenset.intersection(*members), fp) for fp, members in classes.items()),
+                  key=lambda r: (len(r[0]), sorted(g.coords for g in r[0])))
+
+
+def _table_pure_magnet(atlas, table, N):
+    fp = fingerprint(atlas, N)
+    core = frozenset.intersection(*(S for S, sfp in table if sfp == fp))
+    return Submonoid(atlas.grading_group, tuple(core))
+
+
+Z_3 = FgAbelianGroup(1, (3,))
+
+
+def _seeded_atlas(kind, seed):
+    """A small atlas over Z^2 or Z x Z/3: two free charts, one weight module,
+    or a free chart beside one monoid-algebra chart."""
+    rng = random.Random("%s-%d" % (kind, seed))
+    G = Z2 if seed % 2 else Z_3
+
+    def degree(first=(-2, 2)):
+        if G is Z2:
+            return [rng.randint(*first), rng.randint(-2, 2)]
+        return [rng.randint(*first), rng.randrange(3)]
+
+    def free(name, k):
+        return name, FreePoly.of(G, [("%s%d" % (name, i), degree()) for i in range(k)])
+
+    if kind == "free":
+        charts = (free("x", rng.randint(2, 4)), free("y", rng.randint(2, 4)))
+    elif kind == "weight":
+        charts = (("W", WeightModule.of(G, [(degree(), 1, "w%d" % i)
+                                             for i in range(rng.randint(3, 7))])),)
+    else:
+        # generators with a positive first coordinate span a sharp monoid
+        gens = [degree(first=(1, 2)) for _ in range(rng.randint(1, 2))]
+        charts = (free("x", rng.randint(2, 4)),
+                  ("V", MonoidAlgebra(Submonoid.generated_by(G, gens))))
+    return EquivariantAtlas(G, charts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["free", "weight", "mixed"])
+def test_set_arithmetic_matches_the_table_route(kind, seed):
+    atlas = _seeded_atlas(kind, seed)
+    table = _table_route(atlas)
+    poset = enumerate_magnets(atlas)
+    assert [(S, fp) for S, (_, fp) in zip(poset.subsets, poset.elements)] == _table_poset(table)
+    assert poset.magnets() == tuple(
+        Submonoid(atlas.grading_group, tuple(S)) for S in poset.subsets)
+    # magnets from degrees of E and from degrees outside it
+    rng = random.Random(seed)
+    E = degree_support(atlas)
+    G = atlas.grading_group
+    for _ in range(6):
+        gens = rng.sample(E, rng.randint(0, min(3, len(E))))
+        gens += [G.element([rng.randint(-3, 3), rng.randint(-3, 3)][:G.free_rank]
+                           + [rng.randrange(n) for n in G.torsion_orders])
+                 for _ in range(rng.randint(0, 2))]
+        N = Submonoid(G, tuple(gens))
+        assert pure_magnet(atlas, N) == _table_pure_magnet(atlas, table, N)
+
+
+def test_a_closure_that_forgets_a_member_fails_the_check(monkeypatch):
+    # without the degree 2, the closure lists {1} as closed, and [1> holds 2
+    atlas = EquivariantAtlas(Z, (("A2", FreePoly.of(Z, [("x", [1]), ("y", [2])])),))
+    two = degree_support(atlas).index(Z.element([2]))
+    listed = atlases.closed_sets
+
+    def forgetting(n, closure):
+        return listed(n, lambda S: (i for i in closure(S) if i != two or two in S))
+
+    atlases._closed_subset_table.cache_clear()
+    monkeypatch.setattr(atlases, "closed_sets", forgetting)
+    with pytest.raises(StructuralError, match="generates the degree"):
+        enumerate_magnets(atlas)

@@ -773,6 +773,14 @@ def test_cohomology_fixture():
     assert j["primitive"] == {"e": "-1"}
 
 
+def test_p2_fixture_has_one_magnet_per_closed_subset_of_a2():
+    # P^2's three charts have the roots of A2 as degree support
+    path = str(pathlib.Path(__file__).parent.parent / "examples" / "p2.json")
+    magnets = json.loads(run("magnets", "--input", path, "--json").output)
+    subsets = json.loads(run("roots", "--type", "A2", "--closed-subsets", "--json").output)
+    assert magnets["count"] == subsets["count"] == 29
+
+
 def test_cohomology_non_cocycle_fails(tmp_path):
     path = write(
         tmp_path,

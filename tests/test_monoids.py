@@ -30,6 +30,7 @@ from magnetkit.monoids import (
     is_generating,
     is_group,
     is_sharp,
+    maximal_without,
     monoid_rank_sharp,
     positive_grading,
     pushout_complement,
@@ -625,6 +626,29 @@ def test_closed_sets_match_the_mask_reference():
         # lectic order: the first index where two sets differ is in the later
         keys = [sum(1 << (n - 1 - i) for i in S) for S in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_maximal_without_lists_the_maximal_closed_sets_avoiding_each_point():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        implications = [
+            (set(rng.sample(range(n), rng.randint(0, min(n, 3)))),
+             set(rng.sample(range(n), rng.randint(1, min(n, 2)))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        closed = list(closed_sets(n, _implication_closure(implications)))
+        got = list(maximal_without(n, closed))
+        assert [p for p, _ in got] == sorted(p for p, _ in got)
+        for p in range(n):
+            avoiding = [set(S) for S in closed if p not in S]
+            want = {tuple(sorted(S)) for S in avoiding if not any(S < T for T in avoiding)}
+            kept = [C for q, C in got if q == p]
+            assert set(kept) == want and len(kept) == len(want)
+            assert [len(C) for C in kept] == sorted((len(C) for C in kept), reverse=True)
+    # two maximal sets avoid 0
+    assert list(maximal_without(3, [(), (0,), (1,), (2,), (0, 1, 2)])) == [
+        (0, (1,)), (0, (2,)), (1, (0,)), (1, (2,)), (2, (0,)), (2, (1,))]
 
 
 # --- generation and rank ----------------------------------------------------

@@ -10,11 +10,13 @@ from magnetkit.groups import FgAbelianGroup
 from magnetkit.monoids import (
     Intersection,
     Submonoid,
+    closed_sets,
     is_face,
     pushout_complement,
     same_submonoid,
     units,
 )
+from magnetkit import roots
 from magnetkit.roots import (
     ReductiveDatum,
     RootMagnet,
@@ -26,6 +28,7 @@ from magnetkit.roots import (
     levi,
     parabolic,
     root_group,
+    _trace,
 )
 
 
@@ -178,6 +181,22 @@ def test_closed_subsets_cap():
         closed_subsets(build("G2"), cap=10)
 
 
+def test_a_dropped_sum_fails_the_trace_check(monkeypatch):
+    # without the rule a1 + a2, the set {a1, a2} is listed as closed, and
+    # its monoid holds the root a1 + a2
+    d = build("A2")
+    rs = d.rootsystem
+    a, b = (rs.roots.index(x) for x in rs.basis)
+    sum_closure = roots._sum_closure
+
+    def dropping(plus, S):
+        return sum_closure(lambda i, j: None if {i, j} == {a, b} else plus(i, j), S)
+
+    monkeypatch.setattr(roots, "_sum_closure", dropping)
+    with pytest.raises(StructuralError, match="not its own monoid trace"):
+        closed_subsets(d)
+
+
 def test_cartesian_squares_a2():
     d = build("A2")
     basis = d.rootsystem.basis
@@ -316,6 +335,46 @@ def _datum(name, move):
     if move == "scaled":
         return _moved(d, range(n), [1] * n, rng.randint(300, 999))
     return d
+
+
+def _per_set_closed_subsets(datum):
+    """closed_subsets with the trace check run on every closed set: the
+    reference for the check on the maximal sets without each root."""
+    rs = datum.rootsystem
+    coords = [r.coords for r in rs.roots]
+    idx = {c: i for i, c in enumerate(coords)}
+
+    def closure(S):
+        members, todo = set(S), list(S)
+        while todo:
+            a = coords[todo.pop()]
+            for j in list(members):
+                k = idx.get(tuple(x + y for x, y in zip(a, coords[j])))
+                if k is not None and k not in members:
+                    members.add(k)
+                    todo.append(k)
+        return sorted(members)
+
+    out = []
+    for C in closed_sets(len(coords), closure):
+        S = frozenset(rs.roots[i] for i in C)
+        assert _trace(rs, Submonoid(rs.ambient, tuple(S))) == S
+        out.append(S)
+    return tuple(sorted(out, key=lambda S: (len(S), sorted(r.coords for r in S))))
+
+
+CLOSED_COUNTS = {"A1": 4, "A2": 29, "A3": 355, "A4": 6942, "B2": 55, "G2": 168}
+
+
+# the per-set reference takes seconds on A4, so A4 runs once, unmoved
+@pytest.mark.parametrize("name, move", [("A4", "fixed")] + [
+    (name, move) for name in ROOT_TYPES if name != "A4"
+    for move in ("fixed", "signed", "scaled")])
+def test_closed_subsets_match_the_per_set_check(name, move):
+    d = _datum(name, move)
+    got = closed_subsets(d, cap=20)
+    assert got == _per_set_closed_subsets(d)
+    assert len(got) == CLOSED_COUNTS[name]
 
 
 @pytest.mark.parametrize("move", ["fixed", "signed", "scaled"])
