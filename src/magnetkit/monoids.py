@@ -4,9 +4,13 @@ the face/unit/quotient calculus on them.
 A Submonoid is a presentation: an ambient group plus a canonical generator
 tuple (sorted, deduplicated, zero dropped).  Equality is presentation
 equality; semantic equality is same_submonoid.  Membership is exact and
-cached, and contains is the only route to it, so every question (faces,
-irreducible generators, pushout complements) is posed as membership in some
-submonoid.  Membership is decided in tiers, each exact where it answers:
+cached, and contains is the only route to it.  Units, irreducible
+generators, a face's presentation and pushout complements are posed as
+membership in some submonoid; which generators lie in the smallest face
+containing a set, the closure of faces and the test of is_face, is one cone
+LP per generator instead (_smallest_face_test), since the faces of N are its
+intersections with the faces of its real cone.  Membership is decided in
+tiers, each exact where it answers:
 
 1. a generator is a member;
 2. a sign-separable target, with a nonzero free coordinate whose sign no
@@ -356,18 +360,65 @@ def maximal_without(n: int, closed: Iterable[tuple[int, ...]]
                 yield p, C
 
 
+def _smallest_face_test(N: Submonoid, S: Iterable[GroupElement]
+                        ) -> Callable[[GroupElement], bool]:
+    """The test whether a member g of N lies in the smallest face of N
+    containing the members S: one cone LP per g and no solver question.
+
+    With p = sum S, g lies in that face iff g divides a member of [S>, and
+    that holds iff t p - g lies in the real cone of N's free parts for some
+    rational t >= 0: a divisor g + x = s has s <= t p for t the largest
+    coefficient of s, and t p - g = (t p - s) + x; conversely, clearing
+    denominators by K and multiplying by the torsion exponent e turns
+    t p - g = sum l_i g_i into eKt p = eK g + sum eK l_i g_i in N (Bruns &
+    Gubeladze, Polytopes, Rings, and K-Theory, ch. 2).  So a generator with
+    zero free part, and every member when the free rank is 0, is a unit and
+    lies in every face.  The LP's columns are the free parts of N's
+    generators and -p, its target -g; a vertex is checked to solve that
+    equation over d, and a "no" separator y to be >= 0 on every generator,
+    0 on p and > 0 on g, a supporting functional of a face that holds S but
+    not g, by integer dot products.
+    """
+    r = N.ambient.free_rank
+    columns = [g.free for g in N.generators]
+    p = [sum(v) for v in zip((0,) * r, *(s.free for s in S))]
+    rows = [[c[i] for c in columns] + [-p[i]] for i in range(r)]
+
+    def test(g: GroupElement) -> bool:
+        if not any(g.free):
+            return True
+        cone = lp.simplex(rows, [-v for v in g.free])
+        if cone.x is None:
+            y = cone.separator
+            crosscheck(all(linalg.dot(y, c) >= 0 for c in columns)
+                       and linalg.dot(y, p) == 0 and linalg.dot(y, g.free) > 0,
+                       "face separator %r does not support a face of %s holding %r "
+                       "but not %r", y, N, p, g)
+            return False
+        x, d = cone.x, cone.d
+        crosscheck(min(x) >= 0 and all(linalg.dot(row, x) == -d * v
+                                       for row, v in zip(rows, g.free)),
+                   "face LP vertex %r over %d does not put %r in the face of %s at %r",
+                   x, d, g, N, p)
+        return True
+
+    return test
+
+
 def is_face(F: Submonoid, N: Submonoid) -> bool:
     """Whether F is a face of N: x + y in F iff x in F and y in F.
 
-    Decided exactly: F is a face iff no generator g of N outside F divides a
-    member of F, i.e. g + (N-member) = (F-member) has no solution: g is not in
-    [F, -gens of N>, the membership question the faces closure asks.
+    Decided exactly: F is a face iff every generator g of N in the smallest
+    face containing F, one cone LP each (_smallest_face_test), lies in F; so
+    F needs a membership question only for such g, and none for a
+    generator of F.
     """
     for f in F.generators:
         if not contains(N, f):
             raise PreconditionError("face candidate is not contained in the monoid")
-    divides = Submonoid(N.ambient, F.generators + tuple(-g for g in N.generators))
-    return not any(contains(divides, g) for g in N.generators if not contains(F, g))
+    in_face = _smallest_face_test(N, F.generators)
+    return all(contains(F, g) for g in N.generators
+               if g not in F.generators and in_face(g))
 
 
 def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
@@ -375,10 +426,12 @@ def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
     generators in (size, lexicographic) order.
 
     A face is generated by the generators it contains, and those in the
-    smallest face containing S are the ones dividing a member of [S>, the
-    members of [S, -gens>: the faces are the closed sets of that closure.
+    smallest face containing S are the ones dividing a member of [S>, one
+    cone LP each (_smallest_face_test): the faces are the closed sets of
+    that closure.  The least one is checked against units(N) by membership.
     A face's first generating subset is the first one of the unit group N*
-    plus the first generator of each irreducible class modulo N*.
+    plus the first generator of each irreducible class modulo N*, found by
+    membership questions.
     """
     gens = N.generators
     if len(gens) > max_generators:
@@ -386,11 +439,10 @@ def faces(N: Submonoid, max_generators: int = 20) -> tuple[Submonoid, ...]:
             "face enumeration over %d generators exceeds the cap of %d"
             % (len(gens), max_generators)
         )
-    negated = tuple(-g for g in gens)
 
     def closure(S):
-        divides = Submonoid(N.ambient, tuple(gens[i] for i in S) + negated)
-        return (i for i, g in enumerate(gens) if i in S or contains(divides, g))
+        in_face = _smallest_face_test(N, (gens[i] for i in S))
+        return (i for i, g in enumerate(gens) if i in S or in_face(g))
 
     closed = list(closed_sets(len(gens), closure))
     unit_group = Submonoid(N.ambient, tuple(gens[i] for i in closed[0]))

@@ -19,6 +19,8 @@ import magnetkit
 from magnetkit import cli, cohomology
 from magnetkit.cli import _clip, _compile, _schema, check_schema, main
 from magnetkit.errors import SchemaError
+from magnetkit.groups import FgAbelianGroup
+from magnetkit.monoids import Submonoid, same_submonoid
 
 SRC = pathlib.Path(magnetkit.__file__).parent.parent
 
@@ -779,6 +781,39 @@ def test_p2_fixture_has_one_magnet_per_closed_subset_of_a2():
     magnets = json.loads(run("magnets", "--input", path, "--json").output)
     subsets = json.loads(run("roots", "--type", "A2", "--closed-subsets", "--json").output)
     assert magnets["count"] == subsets["count"] == 29
+
+
+def test_faces_of_a_moved_monoid_are_the_moved_faces(tmp_path):
+    # examples/faces_moved.json is the original monoid below moved by the
+    # unimodular U on the free part and the sign -1 on Z/2
+    U = [[0, 1, -1], [-1, 1, -1], [0, 1, 0]]
+    original = {"group": {"free_rank": 3, "torsion": [2]},
+                "monoid": {"generators": [[-1, -3, 2, 0], [0, -3, -3, 1], [-1, 3, 1, 0],
+                                          [0, 1, -3, 0], [-3, -2, -3, 0]]}}
+
+    def move(c):
+        return [sum(u * v for u, v in zip(row, c[:3])) for row in U] + [-c[3] % 2]
+
+    path = str(pathlib.Path(__file__).parent.parent / "examples" / "faces_moved.json")
+    r = run("faces", "--input", path, "--json")
+    assert r.exit_code == 0, repr(r.exception)
+    moved = json.loads(r.output)
+    assert moved["monoid"]["generators"] == sorted(
+        move(c) for c in original["monoid"]["generators"])
+    before = json.loads(run("faces", "--input", write(tmp_path, "original.json", original),
+                            "--json").output)
+    assert moved["count"] == before["count"] == 10
+    G = FgAbelianGroup(3, (2,))
+    got = [Submonoid.generated_by(G, f["generators"]) for f in moved["faces"]]
+    want = [Submonoid.generated_by(G, map(move, f["generators"])) for f in before["faces"]]
+    assert all(sum(same_submonoid(F, W) for W in want) == 1 for F in got)
+
+
+def test_a4_closed_subsets_are_refused_at_the_root_cap():
+    r = run("roots", "--type", "A4", "--closed-subsets")
+    assert r.exit_code == 3, repr(r.exception)
+    assert r.stdout == ""
+    assert r.stderr == "resource limit: root set of size 20 exceeds the cap 12\n"
 
 
 def test_cohomology_non_cocycle_fails(tmp_path):

@@ -540,8 +540,7 @@ def test_face_candidate_outside_monoid_rejected():
 
 
 def test_faces_in_z2_times_z3_with_units():
-    # units(N) and N itself; is_face(units(N), N) exhausts the solver's node
-    # cap, so the faces are checked by same_submonoid
+    # units(N) and N itself
     G = FgAbelianGroup(2, (3,))
     N = Submonoid.generated_by(
         G, [[0, -1, 2], [-2, 2, 1], [3, -3, 1], [-3, 1, 1], [2, -2, 1], [2, -2, 0]]
@@ -549,16 +548,38 @@ def test_faces_in_z2_times_z3_with_units():
     bottom, top = faces(N)
     assert same_submonoid(bottom, units(N))
     assert same_submonoid(top, N)
+    assert is_face(bottom, N) and is_face(top, N)
+
+
+def test_faces_of_a_six_generator_monoid_in_z3_times_z3():
+    # the membership closure [S, -gens> exhausts the solver's node cap here;
+    # 12 is also the number of face sets cut out by supporting functionals
+    G = FgAbelianGroup(3, (3,))
+    N = Submonoid.generated_by(G, [[-2, -3, 1, 1], [1, 2, -2, 2], [3, 3, -2, 1],
+                                   [1, 0, 0, 1], [-3, -2, -2, 2], [-1, -2, -3, 2]])
+    fs = faces(N)
+    assert len(fs) == 12
+    assert all(is_face(F, N) for F in fs)
+
+
+def _is_face_by_columns(F, N):
+    """Face test as one solver query per generator g of N outside F:
+    g + (N-combination) = (F-combination), with F and -N as columns."""
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
+    cols = [f.coords for f in F.generators]
+    cols += [tuple(-c for c in g.coords) for g in N.generators]
+    return not any(has_nonneg_solution(cols, g.coords, moduli)
+                   for g in N.generators if not contains(F, g))
 
 
 def _first_presentations(N):
     """Faces by the exhaustive scan: each face at its first generating subset
-    in (size, lexicographic) order."""
+    in (size, lexicographic) order, tested by the solver query."""
     found = []
     for r in range(len(N.generators) + 1):
         for subset in itertools.combinations(N.generators, r):
             F = Submonoid(N.ambient, subset)
-            if not any(same_submonoid(F, G) for G in found) and is_face(F, N):
+            if not any(same_submonoid(F, G) for G in found) and _is_face_by_columns(F, N):
                 found.append(F)
     return sorted(found, key=lambda F: (len(F.generators), F.generators))
 
@@ -573,6 +594,70 @@ def _first_presentations(N):
 def test_faces_match_the_exhaustive_scan(group, gens):
     N = Submonoid.generated_by(group, gens)
     assert list(faces(N)) == _first_presentations(N)
+
+
+def _solver_face_closure(N):
+    """The smallest face containing S as the generators dividing a member of
+    [S>, those in [S, -gens>: one complete-solver query per generator."""
+    gens = N.generators
+    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
+    negated = [tuple(-c for c in g.coords) for g in gens]
+
+    def closure(S):
+        cols = [gens[i].coords for i in S] + negated
+        return [i for i, g in enumerate(gens)
+                if i in S or has_nonneg_solution(cols, g.coords, moduli)]
+    return closure
+
+
+def _face_parity_monoids(seed, count):
+    """Seeded monoids on 1-6 generators in free rank 0-3, with torsion, +-
+    pairs and generators whose free part is zero."""
+    rng = random.Random(seed)
+    groups = [Z, Z2, FgAbelianGroup(3, ()), FgAbelianGroup(1, (2,)), FgAbelianGroup(2, (3,)),
+              FgAbelianGroup(2, (2, 4)), FgAbelianGroup(0, (2, 4)), Z6]
+    for _ in range(count):
+        G = rng.choice(groups)
+        r = G.free_rank
+        gens = [[rng.randint(-2, 2) for _ in range(r)] + [rng.randrange(n) for n in G.torsion_orders]
+                for _ in range(rng.randint(1, 4))]
+        if r and rng.random() < 0.3:
+            g = rng.choice(gens)
+            gens.append([-v for v in g[:r]] + g[r:])
+        if G.torsion_orders and rng.random() < 0.3:
+            gens.append([0] * r + [rng.randrange(n) for n in G.torsion_orders])
+        yield Submonoid.generated_by(G, gens)
+
+
+def test_faces_and_is_face_match_the_solver_closure():
+    rng = random.Random(13)
+    compared, kinds, answers = 0, set(), set()
+    for N in _face_parity_monoids(9, 170):
+        gens = N.generators
+        candidates = [Submonoid(N.ambient, tuple(g for g in gens if rng.random() < 0.5))
+                      for _ in range(3)]
+        try:
+            want = set(closed_sets(len(gens), _solver_face_closure(N)))
+            verdicts = [_is_face_by_columns(F, N) for F in candidates]
+        except ResourceLimitError:
+            continue
+        got = faces(N)
+        assert len(got) == len(want), N.describe()
+        assert {tuple(i for i, g in enumerate(gens) if contains(F, g)) for F in got} == want
+        assert all(is_face(Submonoid(N.ambient, tuple(gens[i] for i in C)), N) for C in want)
+        for F, verdict in zip(candidates, verdicts):
+            assert is_face(F, N) == verdict, (F.describe(), N.describe())
+            answers.add(verdict)
+        compared += 1
+        kinds.add("torsion" if N.ambient.torsion_orders else "free")
+        if not N.ambient.free_rank:
+            kinds.add("free rank 0")
+        else:
+            kinds.update("pair" for g in gens if -g in gens and any(g.free))
+            kinds.update("no free part" for g in gens if not any(g.free))
+    assert compared >= 150
+    assert kinds == {"torsion", "free", "pair", "no free part", "free rank 0"}
+    assert answers == {False, True}
 
 
 def test_the_unit_group_generating_subset_search_is_capped(monkeypatch):
@@ -700,16 +785,6 @@ def _rank_by_counting_row(N):
     cols.append((0,) * N.ambient.coord_count + (-1,))
     return sum(not has_nonneg_solution(cols, g.coords + (2,), moduli)
                for g in N.generators)
-
-
-def _is_face_by_columns(F, N):
-    """Face test as one solver query per generator g of N outside F:
-    g + (N-combination) = (F-combination), with F and -N as columns."""
-    moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
-    cols = [f.coords for f in F.generators]
-    cols += [tuple(-c for c in g.coords) for g in N.generators]
-    return not any(has_nonneg_solution(cols, g.coords, moduli)
-                   for g in N.generators if not contains(F, g))
 
 
 def test_monoid_rank_matches_the_counting_row_query():
