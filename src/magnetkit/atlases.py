@@ -25,7 +25,7 @@ from typing import Iterable, Union
 from .errors import ResourceLimitError, StructuralError, crosscheck
 from .graded import FreePoly, MonoidAlgebra, MonoidIdeal, WeightModule
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import Submonoid, closed_sets, maximal_without
+from .monoids import Submonoid, SumClosure, closed_sets
 
 Chart = Union[FreePoly, MonoidAlgebra, WeightModule]
 
@@ -104,25 +104,22 @@ def _closed_fingerprint(atlas: EquivariantAtlas, S: frozenset) -> tuple[frozense
 def _closed_subset_table(atlas: EquivariantAtlas, cap: int):
     """All closed S (with [S> meeting E exactly in S), with fingerprints.
 
-    closed_sets lists them.  One question per degree e and listed set
-    maximal among those without e (maximal_without), whose monoid must miss
-    e, then certifies every listed set closed, so its fingerprint is
-    _closed_fingerprint's.
+    closed_sets lists the sets closed under the sound rules of
+    monoids.SumClosure, which then asks one question per degree e and listed
+    set maximal among those without e (maximal_without), whose monoid must
+    miss e.  A question that fails teaches the closure a rule from its
+    witness, and the sets are listed again, until every listed set is
+    certified closed, so its fingerprint is _closed_fingerprint's.
     """
     E = degree_support(atlas)
     if len(E) > cap:
         raise ResourceLimitError(
             "degree support has %d elements, cap is %d" % (len(E), cap)
         )
-
-    def closure(S):
-        gen = _generated(atlas, (E[i] for i in S))
-        return (i for i, e in enumerate(E) if i in S or gen.contains(e))
-
+    closure = SumClosure(E)
     closed = list(closed_sets(len(E), closure))
-    for p, C in maximal_without(len(E), closed):
-        crosscheck(not _generated(atlas, (E[i] for i in C)).contains(E[p]),
-                   "a listed subset generates the degree %r outside it", E[p])
+    while closure.certify(closed):
+        closed = list(closed_sets(len(E), closure))
     subsets = (frozenset(E[i] for i in C) for C in closed)
     return tuple((S, _closed_fingerprint(atlas, S)) for S in subsets)
 

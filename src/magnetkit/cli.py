@@ -424,7 +424,7 @@ def _monoid_json(N: Submonoid) -> dict:
 # every echo names its stream: click's default-stream cache maps a stream to
 # itself, which keeps it alive, so each in-process run (CliRunner) would
 # leak the stream it captured output in
-def _emit(payload: dict, as_json: bool, lines: list):
+def _emit(payload: dict | None, as_json: bool, lines: list):
     if as_json:
         click.echo(json.dumps(payload, sort_keys=True, indent=2), file=sys.stdout)
     else:
@@ -554,20 +554,24 @@ def cmd_magnets(path, as_json, dot_path, bound):
     lines = ["%d magnets" % len(poset)]
     for m in poset.magnets():
         lines.append("  " + m.describe())
-    payload = {
-        "command": "magnets",
-        "count": len(poset),
-        "magnets": [_monoid_json(m) for m in poset.magnets()],
-        "poset": poset.to_json_dict(),
-    }
     if dot_path:
         try:
             with open(dot_path, "w") as fh:
                 fh.write(poset.to_dot())
         except OSError as e:
             raise SchemaError("cannot write %s: %s" % (dot_path, e.strerror), location="--dot")
-        payload["dot_file"] = dot_path
         lines.append("dot: %s" % dot_path)
+    # the poset's leq matrix is n x n, so only JSON output builds it
+    payload = None
+    if as_json:
+        payload = {
+            "command": "magnets",
+            "count": len(poset),
+            "magnets": [_monoid_json(m) for m in poset.magnets()],
+            "poset": poset.to_json_dict(),
+        }
+        if dot_path:
+            payload["dot_file"] = dot_path
     _emit(payload, as_json, lines)
 
 

@@ -7,8 +7,10 @@ columns (+n, -n), after which the question is homogenized with an extra
 column -target and handed to a completion search in the style of
 Contejean and Devie: breadth-first over coefficient vectors, extending t by
 e_i only when <A t, A e_i> < 0, pruning anything that strictly dominates an
-already-found minimal solution.  The search is complete, so a False answer is
+already-found minimal solution.  The search is complete, so a None answer is
 a proof of non-membership; hitting the node cap raises instead of guessing.
+A "yes" comes as its witness, the solution node's coefficients on the
+given columns (the congruence slacks and the homogenizing column dropped).
 
 No dot product is formed per node.  With v = A t, a node carries its scores
 s[i] = <v, col_i> and its squared norm |v|^2 instead of v; expanding column i
@@ -34,8 +36,10 @@ def has_nonneg_solution(
     target: Sequence[int],
     moduli: Optional[Sequence[int]] = None,
     max_nodes: int = DEFAULT_MAX_NODES,
-) -> bool:
-    """True iff target is a nonnegative integer combination of the columns.
+) -> Optional[tuple[int, ...]]:
+    """A witness x in N^k with sum_i x_i * col_i = target, one coefficient
+    per column, or None when target is no nonnegative integer combination of
+    the columns.
 
     moduli[r] == 0 means row r is an exact equation; moduli[r] == n >= 2 means
     row r only has to match modulo n.
@@ -53,8 +57,9 @@ def has_nonneg_solution(
     if len(moduli) != m:
         raise ValueError("one modulus per row required")
 
+    k = len(cols)
     if all(v == 0 for v in target):
-        return True
+        return (0,) * k
 
     work = list(cols)
     for r, n in enumerate(moduli):
@@ -93,7 +98,7 @@ def has_nonneg_solution(
                 )
             if norm == 0:
                 if x[hom] == 1:
-                    return True
+                    return x[:k]
                 minimal.append(x)
                 continue
             at_hom_cap = x[hom] == 1
@@ -111,7 +116,7 @@ def has_nonneg_solution(
                 g = gram[i]
                 next_frontier.append((y, tuple(map(add, s, g)), norm + 2 * si + g[i]))
         frontier = next_frontier
-    return False
+    return None
 
 
 def _strictly_dominates(y: tuple, t: tuple) -> bool:

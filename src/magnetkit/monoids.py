@@ -40,6 +40,13 @@ integers throughout: its vertex comes as numerators over one denominator
 and its separator as an integer multiple, so the checks of tiers 4 and 5
 are integer dot products over the generators' coordinates, and their
 messages, which name the monoid, are formatted only when a check fails.
+Every "yes" comes as a witness, nonnegative coefficients on the generators
+that sum to the target, and the cache keeps it; contains is whether there
+is one.
+
+Closed subsets of a finite support E, those S with E ∩ [S> = S, are the
+closed sets of SumClosure: rules from pair sums inside E and from the
+witnesses of the membership questions that certify its lists.
 
 As contains is the only route to the solver, positive_grading is the only
 route to the positive-covector search, a lazy depth-first search in lex
@@ -145,13 +152,16 @@ GENERATING_SUBSET_CAP = 2 ** 12
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _cached_contains(N: Submonoid, m: GroupElement) -> bool:
-    if m in N.generators:
-        return True
-    columns = [g.coords for g in N.generators]
+def _cached_contains(N: Submonoid, m: GroupElement) -> Optional[tuple[int, ...]]:
+    """A witness of m in N, nonnegative coefficients l on N.generators with
+    sum l_i g_i = m, or None when m is not a member."""
+    gens = N.generators
+    if m in gens:
+        return tuple(int(g == m) for g in gens)
+    columns = [g.coords for g in gens]
     bound = _witness_length_bound(columns, m.free)
     if not bound and any(m.free):
-        return False
+        return None
     # the breadth-first pass covers combinations by length, and there are
     # C(L + k, k) of length <= L over k columns; past FIRST_PASS_NODES it
     # cannot reach a witness of length L, so the tiers come first
@@ -176,7 +186,7 @@ def _witness_length_bound(columns, free: Sequence[int]) -> int:
     when free is zero or the target is sign-separable, with a nonzero
     coordinate that no generator shares the sign of.  No nonnegative
     combination reaches a sign-separable target, whatever its torsion part,
-    so _cached_contains answers "no" to it without a solver call.
+    so _cached_contains answers "no" (None) to it without a solver call.
     """
     bound = 0
     for t, row in zip(free, zip(*columns)):
@@ -193,8 +203,9 @@ def _witness_length_bound(columns, free: Sequence[int]) -> int:
     return bound
 
 
-def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
-    """Membership of m in N by five tiers, each exact where it answers.
+def _after_first_pass(N: Submonoid, m: GroupElement) -> Optional[tuple[int, ...]]:
+    """Membership of m in N by five tiers, each exact where it answers: a
+    witness on N.generators, as _cached_contains gives it, or None.
 
     The LP's rows are the free rows of the generator coordinate columns,
     and it answers in integers over its denominator d (magnetkit.lp).
@@ -204,16 +215,17 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
        a separator, checked by integer dot products, and means no.
     2. Integral vertex: a vertex whose numerators x are all divisible by d
        is a witness x // d of the free part, checked by forming
-       sum (x_i // d) g_i; "yes" when its torsion part matches too.
+       sum (x_i // d) g_i; the witness of m when its torsion part matches too.
     3. Lattice: m must be an integer combination of the generators and the
        torsion orders; "no" comes with a character, checked by
        multiplication in linalg.solve, and means no.
     4. LP rounding: floor the same LP vertex, x // d, and ask the solver
-       whether the residual m - sum (x_i // d) g_i lies in N; "yes" means
-       yes.  A "no" backs every floor off by 1, 2, 4, ..., which moves the
-       residual deeper into the cone, until a residual is a member, the
-       solver caps, or the residual would be m itself.
-    5. The complete solver at its full node cap.
+       whether the residual m - sum (x_i // d) g_i lies in N; a witness r of
+       the residual gives m's, the floors plus r.  A "no" backs every floor
+       off by 1, 2, 4, ..., which moves the residual deeper into the cone,
+       until a residual is a member, the solver caps, or the residual would
+       be m itself.
+    5. The complete solver at its full node cap, whose witness is m's.
     """
     G = N.ambient
     f = G.free_rank
@@ -226,7 +238,7 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
         y = cone.separator
         crosscheck(all(linalg.dot(y, c) >= 0 for c in columns) and linalg.dot(y, m.coords) < 0,
                    "cone separator %r does not separate %r from %s", y, m, N)
-        return False
+        return None
     # with no free rows, or no generators, the vertex is empty: no witness
     if x and all(v % d == 0 for v in x):
         k = [v // d for v in x]
@@ -234,21 +246,23 @@ def _after_first_pass(N: Submonoid, m: GroupElement) -> bool:
         crosscheck(total.free == m.free,
                    "LP vertex %r over %d does not solve the free part of %r in %s", x, d, m, N)
         if total == m:
-            return True
+            return tuple(k)
     if linalg.solve(_lattice_matrix(G, columns), m.coords) is None:
-        return False
+        return None
     floors = [v // d for v in x]
     back = 0
     while any(v > back for v in floors):
+        kept = [max(k - back, 0) for k in floors]
         residual = G.element(
-            c - sum(max(k - back, 0) * g.coords[i] for k, g in zip(floors, N.generators))
+            c - sum(k * g.coords[i] for k, g in zip(kept, N.generators))
             for i, c in enumerate(m.coords)
         )
         try:
-            if has_nonneg_solution(columns, residual.coords, moduli):
-                return True
+            rest = has_nonneg_solution(columns, residual.coords, moduli)
         except ResourceLimitError:
             break
+        if rest is not None:
+            return tuple(map(add, kept, rest))
         back = 2 * back or 1
     return has_nonneg_solution(columns, m.coords, moduli)
 
@@ -265,12 +279,13 @@ def _lattice_matrix(G: FgAbelianGroup, columns):
 
 
 def contains(N: Submonoid, m: GroupElement) -> bool:
-    """Exact membership of m in the submonoid N."""
+    """Exact membership of m in the submonoid N: whether _cached_contains
+    finds a witness."""
     if m.ambient != N.ambient:
         raise StructuralError("element and monoid have different ambient groups")
     if m.is_zero():
         return True
-    return _cached_contains(N, m)
+    return _cached_contains(N, m) is not None
 
 
 def same_submonoid(N: Submonoid, L: Submonoid) -> bool:
@@ -358,6 +373,132 @@ def maximal_without(n: int, closed: Iterable[tuple[int, ...]]
             if not m >> p & 1 and all(m | k != k for k in kept):
                 kept.append(m)
                 yield p, C
+
+
+def _pair_sums(E: Sequence[GroupElement]) -> Iterator[tuple[int, int, int]]:
+    """The triples (i, j, k), i <= j, with E[i] + E[j] = E[k]."""
+    index = {e: k for k, e in enumerate(E)}
+    for i, a in enumerate(E):
+        for j in range(i, len(E)):
+            k = index.get(a + E[j])
+            if k is not None:
+                yield i, j, k
+
+
+class SumClosure:
+    """A sound closure on the finite support E, for listing the subsets S
+    with E ∩ [S> = S by closed_sets, and a certificate that it lists them.
+
+    The closure is by rules "P ⊆ S gives p", a premise bitmask P over E
+    and a point p of [P>: the zero of E, the pair sums a + b in E of points
+    a, b (a = b allowed), and rules learned from membership witnesses.  Each
+    conclusion keeps only its minimal premises.  Whatever the rules, c(S)
+    lies in E ∩ [S>, so every truly closed set is c-closed.
+
+    certify(closed) asks, for each pair (p, C) of maximal_without on the
+    listed sets, whether [C> holds E[p]: if none does, every listed set is
+    truly closed (maximal_without), and the list is exact.  A pair that
+    fails gives its witness l, checked to be nonnegative on C's generators,
+    to sum to E[p] and to have its support in C; it teaches the rule
+    supp(l) ⇒ p.  That rule is new unless C is not closed under the held
+    rules, which means the closure ignored one, so that raises.  Rules are finitely many, so listing again after each
+    learning round ends.  The first round that learns also adds the triple
+    sums a + b + c in E whose partial sums leave E, the other rules dense
+    supports need.
+    """
+
+    def __init__(self, E: Sequence[GroupElement]):
+        self.E = tuple(E)
+        self.index = {e: i for i, e in enumerate(self.E)}
+        n = len(self.E)
+        self.base = sum(1 << i for i, e in enumerate(self.E) if e.is_zero())
+        self.base_points = tuple(i for i in range(n) if self.base >> i & 1)
+        # per conclusion its minimal premises; per point the rules it is in
+        self.premises = [[] for _ in range(n)]
+        self.triggers = [[] for _ in range(n)]
+        self.tripled = False
+        for i, j, k in _pair_sums(self.E):
+            self._learn(1 << i | 1 << j, k)
+
+    def _learn(self, premise: int, p: int) -> None:
+        if (premise | self.base) >> p & 1:
+            return
+        held = self.premises[p]
+        if any(P & premise == P for P in held):
+            return
+        for P in [P for P in held if P & premise == premise]:
+            held.remove(P)
+            for a in _points(P):
+                self.triggers[a].remove((P, p))
+        held.append(premise)
+        for a in _points(premise):
+            self.triggers[a].append((premise, p))
+
+    def __call__(self, S: Iterable[int]) -> list[int]:
+        mask = self.base
+        todo = list(self.base_points)
+        for a in S:
+            mask |= 1 << a
+            todo.append(a)
+        triggers = self.triggers
+        while todo:
+            for premise, p in triggers[todo.pop()]:
+                if not mask >> p & 1 and premise & mask == premise:
+                    mask |= 1 << p
+                    todo.append(p)
+        return _points(mask)
+
+    def certify(self, closed: Iterable[tuple[int, ...]]) -> list[tuple[int, int]]:
+        """The rules (premise, p) learned from the listed sets, each a pair
+        of maximal_without whose monoid holds E[p]: none when every listed
+        set is closed."""
+        E = self.E
+        G = E[0].ambient if E else None
+        learned = []
+        for p, C in maximal_without(len(E), closed):
+            N = Submonoid(G, tuple(E[i] for i in C))
+            if not contains(N, E[p]):
+                continue
+            # the witness of that answer, from the membership cache
+            w = _cached_contains(N, E[p])
+            gens = N.generators
+            crosscheck(len(w) == len(gens) and min(w, default=0) >= 0
+                       and G.element(linalg.dot(w, [g.coords[r] for g in gens])
+                                     for r in range(G.coord_count)) == E[p],
+                       "membership witness %r does not put %r in %s", w, E[p], N)
+            premise = sum(1 << self.index[g] for g, k in zip(gens, w) if k)
+            crosscheck(premise & ~sum(1 << i for i in C) == 0,
+                       "membership witness %r leaves %s", w, N)
+            # C was listed closed: a held rule that derives anything outside
+            # C from C was ignored, and learning could loop
+            crosscheck(self(C) == list(C),
+                       "a listed subset generates the degree %r outside it, by a rule "
+                       "the closure holds", E[p])
+            learned.append((premise, p))
+        for premise, p in learned:
+            self._learn(premise, p)
+        if learned and not self.tripled:
+            self.tripled = True
+            pairs = {(i, j) for i, j, _ in _pair_sums(E)}
+            for i, j in itertools.combinations_with_replacement(range(len(E)), 2):
+                if (i, j) in pairs:
+                    continue
+                ab = E[i] + E[j]
+                for l in range(j, len(E)):
+                    t = self.index.get(ab + E[l])
+                    if t is not None and (i, l) not in pairs and (j, l) not in pairs:
+                        self._learn(1 << i | 1 << j | 1 << l, t)
+        return learned
+
+
+def _points(mask: int) -> list[int]:
+    """The indices of the set bits of mask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _smallest_face_test(N: Submonoid, S: Iterable[GroupElement]

@@ -18,14 +18,14 @@ square, closed root subsets and root groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
 
 from . import linalg
 from .errors import PreconditionError, ResourceLimitError, StructuralError, crosscheck
 from .graded import WeightModule, prescribed_limit, weight_attractor
 from .groups import FgAbelianGroup, GroupElement
-from .monoids import CACHE_SIZE, Submonoid, closed_sets, is_face, maximal_without
+from .monoids import CACHE_SIZE, Submonoid, SumClosure, closed_sets, is_face
 
 
 @dataclass(frozen=True)
@@ -195,22 +195,6 @@ def _trace(rs: RootSystem, magnet) -> frozenset:
     return frozenset(r for r in rs.roots if magnet.contains(r))
 
 
-def _sum_closure(plus, S) -> list[int]:
-    """The closure of the index set S of roots under sums inside the root
-    set: plus(a, b) is the index of root a plus root b, or None when that
-    sum is not a root."""
-    members = set(S)
-    todo = list(S)
-    while todo:
-        a = todo.pop()
-        for b in list(members):
-            k = plus(a, b)
-            if k is not None and k not in members:
-                members.add(k)
-                todo.append(k)
-    return sorted(members)
-
-
 def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
     """The roots in the integer span of the simple roots zeta, by set
     arithmetic alone: the sum closure of zeta and its negatives inside the
@@ -218,13 +202,19 @@ def _span_roots(datum: ReductiveDatum, zeta) -> frozenset:
     whose partial sums are roots (Bourbaki, Lie Groups and Lie Algebras,
     ch. VI, 1.6, Cor. 1), and the negative ones likewise.  Roots lie in the
     free lattice Z^lattice_rank, so sums are coordinate sums, formed only
-    for the pairs the closure meets."""
-    rs = datum.rootsystem
-    coords = [r.coords for r in rs.roots]
-    idx = {c: i for i, c in enumerate(coords)}
-    S = [idx[a.coords] for a in zeta] + [idx[(-a).coords] for a in zeta]
-    plus = lambda a, b: idx.get(tuple(map(add, coords[a], coords[b])))
-    return frozenset(rs.roots[i] for i in _sum_closure(plus, S))
+    for the pairs the closure meets, so a Levi or parabolic report builds
+    no table of all pair sums, as monoids.SumClosure does."""
+    Phi = {r.coords: r for r in datum.rootsystem.roots}
+    members = {a.coords for a in zeta} | {(-a).coords for a in zeta}
+    todo = list(members)
+    while todo:
+        a = todo.pop()
+        for b in list(members):
+            s = tuple(map(add, a, b))
+            if s in Phi and s not in members:
+                members.add(s)
+                todo.append(s)
+    return frozenset(Phi[c] for c in members)
 
 
 def _indices(rs: RootSystem, zeta) -> frozenset:
@@ -282,24 +272,21 @@ def closed_subsets(datum: ReductiveDatum, cap: int = 12) -> tuple[frozenset, ...
     """All root subsets closed under addition inside the root set.
 
     They are the closed sets of the pairwise-sum closure inside the root set,
-    listed by closed_sets over a table of pair sums built once per call.
-    Each is then the root trace of the monoid it generates, the form the
-    magnet correspondence uses: that is verified only for each root r and
-    each closed set maximal among those without r (maximal_without), whose
-    monoid must miss r; every closed set without r lies in one of them.
+    monoids.SumClosure with no learned rule, listed by closed_sets.  Each is
+    then the root trace of the monoid it generates, the form the magnet
+    correspondence uses: SumClosure.certify verifies that only for each root
+    r and each closed set maximal among those without r, whose monoid must
+    miss r; every closed set without r lies in one of them.
     """
     rs = datum.rootsystem
     n = len(rs.roots)
     if n > cap:
         raise ResourceLimitError("root set of size %d exceeds the cap %d" % (n, cap))
-    coords = [r.coords for r in rs.roots]
-    idx = {c: i for i, c in enumerate(coords)}
-    sums = [[idx.get(tuple(map(add, a, b))) for b in coords] for a in coords]
-    closed = list(closed_sets(n, partial(_sum_closure, lambda a, b: sums[a][b])))
-    for p, C in maximal_without(n, closed):
-        S = frozenset(rs.roots[i] for i in C)
-        crosscheck(not Submonoid(rs.ambient, tuple(S)).contains(rs.roots[p]),
-                   "closed subset %r is not its own monoid trace", S)
+    closure = SumClosure(rs.roots)
+    closed = list(closed_sets(n, closure))
+    failed = closure.certify(closed)
+    crosscheck(not failed, "the monoid of a closed root subset holds the root %r outside it",
+               failed and rs.roots[failed[0][1]])
     out = (frozenset(rs.roots[i] for i in C) for C in closed)
     return tuple(sorted(out, key=lambda S: (len(S), sorted(r.coords for r in S))))
 

@@ -367,3 +367,50 @@ def test_a_closure_that_forgets_a_member_fails_the_check(monkeypatch):
     monkeypatch.setattr(atlases, "closed_sets", forgetting)
     with pytest.raises(StructuralError, match="generates the degree"):
         enumerate_magnets(atlas)
+
+
+# --- the certified closure engine against the table route ----------------------
+
+
+def _dense_atlas(n, seed):
+    """Two free charts in Z^2 on n distinct degrees drawn from -4..4, split
+    in halves: sums of three or more degrees matter on these supports."""
+    rng = random.Random(seed)
+    degrees = []
+    while len(degrees) < n:
+        d = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        if d not in degrees:
+            degrees.append(d)
+    half = n // 2
+    return EquivariantAtlas(Z2, (
+        ("x", FreePoly.of(Z2, [("x%d" % i, d) for i, d in enumerate(degrees[:half])])),
+        ("y", FreePoly.of(Z2, [("y%d" % i, d) for i, d in enumerate(degrees[half:])]))))
+
+
+def _projective_atlas(n):
+    """P^n: chart U_i has the variables x_j / x_i, of degree e_j - e_i, e_0 = 0."""
+    G = FgAbelianGroup(n, ())
+    e = [[0] * n] + [[int(k == j) for k in range(n)] for j in range(n)]
+    return EquivariantAtlas(G, tuple(
+        ("U%d" % i, FreePoly.of(G, [("x%d/x%d" % (j, i), [a - b for a, b in zip(e[j], e[i])])
+                                    for j in range(n + 1) if j != i]))
+        for i in range(n + 1)))
+
+
+@pytest.mark.parametrize("atlas, count", [
+    (_projective_atlas(3), 355),
+    (_dense_atlas(12, 12), 336),
+    (_dense_atlas(12, 2012), None),
+], ids=["P3", "dense12-12", "dense12-2012"])
+def test_the_closure_engine_lists_the_table_route(atlas, count):
+    atlases._closed_subset_table.cache_clear()
+    table = list(atlases._closed_subset_table(atlas, 20))
+    assert table == _table_route(atlas)
+    assert count is None or len(table) == count
+
+
+def test_the_closure_engine_lists_the_table_route_beside_monoid_algebras():
+    for seed in range(8):
+        atlas = _seeded_atlas("mixed", seed)
+        atlases._closed_subset_table.cache_clear()
+        assert list(atlases._closed_subset_table(atlas, 20)) == _table_route(atlas), seed

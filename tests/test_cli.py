@@ -783,6 +783,30 @@ def test_p2_fixture_has_one_magnet_per_closed_subset_of_a2():
     assert magnets["count"] == subsets["count"] == 29
 
 
+def test_p3_fixture_has_one_magnet_per_closed_subset_of_a3():
+    path = str(pathlib.Path(__file__).parent.parent / "examples" / "p3.json")
+    magnets = json.loads(run("magnets", "--input", path, "--json").output)
+    subsets = json.loads(run("roots", "--type", "A3", "--closed-subsets", "--json").output)
+    assert magnets["count"] == subsets["count"] == 355
+    assert len(magnets["poset"]["leq"]) == 355
+
+
+def test_text_magnets_build_no_json_poset(monkeypatch, tmp_path):
+    path = str(pathlib.Path(__file__).parent.parent / "examples" / "p2.json")
+    dot = str(tmp_path / "p2.dot")
+    want = run("magnets", "--input", path, "--dot", dot).output
+
+    def refused(self):
+        raise AssertionError("text output built the leq matrix")
+
+    monkeypatch.setattr(magnetkit.atlases.MagnetPoset, "to_json_dict", refused)
+    r = run("magnets", "--input", path, "--dot", dot)
+    assert r.exit_code == 0, repr(r.exception)
+    assert r.output == want
+    assert r.output.splitlines()[0] == "29 magnets"
+    assert r.output.splitlines()[-1] == "dot: " + dot
+
+
 def test_faces_of_a_moved_monoid_are_the_moved_faces(tmp_path):
     # examples/faces_moved.json is the original monoid below moved by the
     # unimodular U on the free part and the sign -1 on Z/2

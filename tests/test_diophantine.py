@@ -37,6 +37,22 @@ def oracle_member(cols, target, moduli, cap):
     return rec(0, cap, (0,) * m)
 
 
+def solves(cols, target, moduli, x):
+    """Whether x is a witness: one nonnegative integer per column, each row
+    of sum x_i * col_i matching target under its modulus."""
+    moduli = moduli or (0,) * len(target)
+    return (len(x) == len(cols) and all(isinstance(c, int) and c >= 0 for c in x)
+            and all(row_matches(sum(c * col[r] for c, col in zip(x, cols)), t, n)
+                    for r, (t, n) in enumerate(zip(target, moduli))))
+
+
+def member(cols, target, moduli=None):
+    """The solver's answer as a bool, its witness checked on a "yes"."""
+    x = has_nonneg_solution(cols, target, moduli)
+    assert x is None or solves(cols, target, moduli, x), (cols, target, x)
+    return x is not None
+
+
 def vectors(dim, bound):
     return st.lists(
         st.integers(min_value=-bound, max_value=bound), min_size=dim, max_size=dim
@@ -63,7 +79,8 @@ instances = st.integers(min_value=1, max_value=2).flatmap(
 def test_solver_agrees_with_exhaustive_oracle(inst):
     cols, target, moduli = inst
     got = has_nonneg_solution(cols, target, moduli)
-    if got:
+    if got is not None:
+        assert solves(cols, target, moduli, got)
         # a witness must exist; escalate the oracle bound until it is seen
         assert any(oracle_member(cols, target, moduli, cap) for cap in (8, 16, 32, 64))
     else:
@@ -73,36 +90,36 @@ def test_solver_agrees_with_exhaustive_oracle(inst):
 
 def test_numerical_semigroup_three_five():
     cols = [(3,), (5,)]
-    assert not has_nonneg_solution(cols, (7,))
-    assert has_nonneg_solution(cols, (8,))
-    assert not has_nonneg_solution(cols, (-3,))
-    assert has_nonneg_solution(cols, (0,))
+    assert not member(cols, (7,))
+    assert has_nonneg_solution(cols, (8,)) == (1, 1)
+    assert not member(cols, (-3,))
+    assert has_nonneg_solution(cols, (0,)) == (0, 0)
 
 
 def test_congruence_rows():
     # single generator 2 in Z/4
-    assert has_nonneg_solution([(2,)], (2,), (4,))
-    assert not has_nonneg_solution([(2,)], (1,), (4,))
-    assert has_nonneg_solution([(2,)], (0,), (4,))
+    assert member([(2,)], (2,), (4,))
+    assert not member([(2,)], (1,), (4,))
+    assert member([(2,)], (0,), (4,))
     # generator 1 reaches everything
-    assert has_nonneg_solution([(1,)], (3,), (4,))
+    assert member([(1,)], (3,), (4,))
     # mixed exact/congruence rows
     cols = [(1, 1), (0, 3)]
-    assert has_nonneg_solution(cols, (2, 2), (0, 6))
-    assert not has_nonneg_solution(cols, (2, 3), (0, 6))
+    assert member(cols, (2, 2), (0, 6))
+    assert not member(cols, (2, 3), (0, 6))
 
 
 def test_empty_generator_list():
-    assert has_nonneg_solution([], (0, 0))
-    assert not has_nonneg_solution([], (1, 0))
+    assert has_nonneg_solution([], (0, 0)) == ()
+    assert not member([], (1, 0))
 
 
 def test_negative_direction_requires_actual_combination():
     # (1,1) and (1,-1) span a cone missing (0,1)
     cols = [(1, 1), (1, -1)]
-    assert not has_nonneg_solution(cols, (0, 1))
-    assert has_nonneg_solution(cols, (2, 0))
-    assert not has_nonneg_solution(cols, (1, 0))
+    assert not member(cols, (0, 1))
+    assert member(cols, (2, 0))
+    assert not member(cols, (1, 0))
 
 
 @pytest.mark.parametrize(
@@ -184,7 +201,9 @@ def test_gram_kernel_walks_the_reference_search_node_for_node():
             continue
         answer, nodes = ref
         answered[answer] += 1
-        assert has_nonneg_solution(cols, target, moduli, max_nodes=nodes) is answer
+        got = has_nonneg_solution(cols, target, moduli, max_nodes=nodes)
+        assert (got is not None) is answer
+        assert got is None or solves(cols, target, moduli, got)
         if nodes:
             with pytest.raises(ResourceLimitError, match="exceeded %d nodes" % (nodes - 1)):
                 has_nonneg_solution(cols, target, moduli, max_nodes=nodes - 1)

@@ -123,6 +123,18 @@ def test_generators_are_members_without_the_solver(monkeypatch):
     assert all(contains(N, g) for g in N.generators)
 
 
+def _witnessed(N, m, w):
+    """A witness answer as a bool, a "yes" checked: one nonnegative
+    coefficient per generator of N, summing to m in the group."""
+    if w is not None:
+        assert len(w) == len(N.generators) and min(w, default=0) >= 0, (N.describe(), m, w)
+        total = N.ambient.zero()
+        for k, g in zip(w, N.generators):
+            total = total + g.scale(k)
+        assert total == m, (N.describe(), m, w)
+    return w is not None
+
+
 def _tier_questions(seed, f, orders, with_units):
     """A seeded monoid in Z^f x orders and questions with known answers.
 
@@ -175,7 +187,7 @@ def _tier_questions(seed, f, orders, with_units):
                 t = vector(-30, 30)
             questions.append((t, False))
         t = vector(-2, 2)
-        questions.append((t, has_nonneg_solution(gens, t, moduli)))
+        questions.append((t, has_nonneg_solution(gens, t, moduli) is not None))
     return Submonoid.generated_by(G, gens), [(G.element(t), a) for t, a in questions]
 
 
@@ -187,7 +199,7 @@ def test_tiers_agree_with_certified_answers(f, orders, with_units):
         N, questions = _tier_questions(repr((f, orders, with_units, seed)), f, orders,
                                        with_units)
         for m, want in questions:
-            assert monoids._after_first_pass(N, m) is want, (N.describe(), m)
+            assert _witnessed(N, m, monoids._after_first_pass(N, m)) is want, (N.describe(), m)
 
 
 # the Z3 family of the membership benchmark, whose ladders double the size
@@ -271,7 +283,7 @@ def test_sign_separable_targets_are_answered_without_a_solver(monkeypatch, f, or
             t = vector()
             t[i] = sign * rng.randint(1, 3)
             assert monoids._witness_length_bound(columns, t[:f]) == 0
-            cases.append((N, G.element(t), has_nonneg_solution(columns, t, moduli)))
+            cases.append((N, G.element(t), has_nonneg_solution(columns, t, moduli) is not None))
     assert not any(want for _, _, want in cases)
     monkeypatch.setattr(monoids, "has_nonneg_solution", _refuse)
     monkeypatch.setattr(monoids.linalg, "solve", _refuse)
@@ -317,7 +329,8 @@ def test_routed_answers_match_the_complete_solver(f, orders):
     monoids._cached_contains.cache_clear()
     for m, want in routed:
         full = has_nonneg_solution(columns, m.coords, (0,) * f + orders)
-        assert contains(N, m) is full is want, (N.describe(), m)
+        assert _witnessed(N, m, full) is want, (N.describe(), m)
+        assert contains(N, m) is want, (N.describe(), m)
 
 
 def test_witness_case_past_the_old_node_cap():
@@ -346,7 +359,7 @@ def test_a_capped_rounding_residual_leaves_the_question_to_the_complete_solver(m
         return real(columns, target, moduli, **kwargs)
 
     monkeypatch.setattr(monoids, "has_nonneg_solution", residuals_cap)
-    assert monoids._after_first_pass(N, m) is True
+    assert _witnessed(N, m, monoids._after_first_pass(N, m))
     assert calls == [(1,), (7,)]
 
 
@@ -354,7 +367,7 @@ def test_cone_tier_no_is_crosschecked(monkeypatch):
     G = FgAbelianGroup(2)
     N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
     m = G.element([-30, 1])
-    assert monoids._after_first_pass(N, m) is False
+    assert monoids._after_first_pass(N, m) is None
     # (0, 1) is >= 0 on both generators but also on m, so it separates nothing
     wrong = monoids.lp.LPResult(None, (0, 1), 1)
     monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: wrong)
@@ -396,12 +409,12 @@ def test_the_cone_and_an_integral_vertex_answer_before_the_lattice(monkeypatch):
 
     monkeypatch.setattr(monoids.linalg, "solve", counted)
     for N, m, want in lattice:
-        assert monoids._after_first_pass(N, m) is want, m
+        assert _witnessed(N, m, monoids._after_first_pass(N, m)) is want, m
     assert calls == [(41, 20), (40, 30, 1)]
     monkeypatch.setattr(monoids.linalg, "solve", _later_tier)
     monkeypatch.setattr(monoids, "has_nonneg_solution", _later_tier)
     for N, m, want in cone:
-        assert monoids._after_first_pass(N, m) is want, m
+        assert _witnessed(N, m, monoids._after_first_pass(N, m)) is want, m
 
 
 def test_a_deep_answer_formats_no_message(monkeypatch):
@@ -422,7 +435,7 @@ def test_a_deep_answer_formats_no_message(monkeypatch):
     monkeypatch.setattr(Submonoid, "describe", counted)
     monkeypatch.setattr(Submonoid, "__str__", counted)
     for N, m, want in cone + lattice:
-        assert monoids._after_first_pass(N, m) is want, m
+        assert (monoids._after_first_pass(N, m) is not None) is want, m
     monoids._cached_contains.cache_clear()
     for N, m, want in routed:
         assert contains(N, m) is want, m
@@ -433,7 +446,7 @@ def test_a_forged_integral_vertex_is_crosschecked(monkeypatch):
     G = FgAbelianGroup(2)
     N = Submonoid.generated_by(G, [[1, 0], [1, 1]])
     m = G.element([30, 1])
-    assert monoids._after_first_pass(N, m) is True
+    assert _witnessed(N, m, monoids._after_first_pass(N, m))
     # (2, 0) over 2 is the integral (1, 0), which reaches (1, 0), not (30, 1)
     forged = monoids.lp.LPResult((2, 0), None, 2)
     monkeypatch.setattr(monoids.lp, "simplex", lambda A, b: forged)
@@ -453,8 +466,83 @@ def test_pure_torsion_targets_skip_the_empty_vertex():
     monoids._cached_contains.cache_clear()
     for L, m in [(N, T.element([1])), (N, T.element([3])), (N, T.element([999])),
                  (M, ZT.element([5, 3]))]:
-        assert monoids._after_first_pass(L, m) is True, m
+        assert _witnessed(L, m, monoids._after_first_pass(L, m)), m
         assert contains(L, m) is True, m
+
+
+def _tier_members():
+    """The member questions of test_tiers_agree_with_certified_answers, each
+    with its monoid."""
+    out = []
+    for f in [1, 2, 3]:
+        for orders in [(), (2,), (3,)]:
+            for with_units in [False, True]:
+                for seed in range(3):
+                    N, questions = _tier_questions(repr((f, orders, with_units, seed)), f,
+                                                   orders, with_units)
+                    out += [(N, m, with_units) for m, want in questions if want]
+    return out
+
+
+def test_every_tier_witnesses_its_members(monkeypatch):
+    # the cone tiers' witnesses are checked by
+    # test_tiers_agree_with_certified_answers
+    members = _tier_members()
+    assert len(members) == 267
+    for N, m, _ in members:
+        for i, g in enumerate(N.generators):
+            assert monoids._cached_contains(N, g) == tuple(int(j == i) for j in range(len(N.generators)))
+        columns = [g.coords for g in N.generators]
+        moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
+        try:
+            first = has_nonneg_solution(columns, m.coords, moduli, max_nodes=monoids.FIRST_PASS_NODES)
+        except ResourceLimitError:
+            continue
+        assert _witnessed(N, m, first)
+    # LP rounding: the vertex moved off the lattice by 1/(2d)
+    simplex = monoids.lp.simplex
+
+    def off_lattice(A, b):
+        cone = simplex(A, b)
+        if cone.x is None:
+            return cone
+        return monoids.lp.LPResult(tuple(2 * v + 1 for v in cone.x), cone.separator, 2 * cone.d)
+
+    # keeps its floors, so the integral-vertex tier passes and the floors plus
+    # a residual witness answer; with a unit pair the residual solves and the
+    # complete solver below take seconds, so both run on the sharp monoids
+    monkeypatch.setattr(monoids.lp, "simplex", off_lattice)
+    for N, m, with_units in members:
+        if not with_units:
+            assert _witnessed(N, m, monoids._after_first_pass(N, m))
+    # the complete solver, with every residual capped
+    solver = monoids.has_nonneg_solution
+
+    def residuals_cap(columns, target, moduli, **kwargs):
+        if tuple(target) != m.coords:
+            raise ResourceLimitError("capped residual")
+        return solver(columns, target, moduli, **kwargs)
+
+    monkeypatch.setattr(monoids, "has_nonneg_solution", residuals_cap)
+    for N, m, with_units in members:
+        if not with_units:
+            assert _witnessed(N, m, monoids._after_first_pass(N, m))
+
+
+def test_contains_answers_exactly_true_or_false():
+    monoids._cached_contains.cache_clear()
+    for f in [1, 2]:
+        for orders in [(), (3,)]:
+            N, questions = _tier_questions(repr((f, orders, False, 0)), f, orders, False)
+            for m, want in questions + [(N.ambient.zero(), True)]:
+                assert contains(N, m) is want, m
+
+
+def test_the_rounding_tier_backs_off_to_a_witness():
+    # in <2, 3> the LP vertex of 7 is 7/2 or 7/3 on one generator; its floor
+    # leaves the non-member 1, one step back leaves a generator
+    N = Submonoid.generated_by(Z, [[2], [3]])
+    assert monoids._after_first_pass(N, Z.element([7])) == (2, 1)
 
 
 def test_cross_ambient_membership_rejected():
@@ -568,8 +656,8 @@ def _is_face_by_columns(F, N):
     moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders
     cols = [f.coords for f in F.generators]
     cols += [tuple(-c for c in g.coords) for g in N.generators]
-    return not any(has_nonneg_solution(cols, g.coords, moduli)
-                   for g in N.generators if not contains(F, g))
+    return all(has_nonneg_solution(cols, g.coords, moduli) is None
+               for g in N.generators if not contains(F, g))
 
 
 def _first_presentations(N):
@@ -606,7 +694,7 @@ def _solver_face_closure(N):
     def closure(S):
         cols = [gens[i].coords for i in S] + negated
         return [i for i, g in enumerate(gens)
-                if i in S or has_nonneg_solution(cols, g.coords, moduli)]
+                if i in S or has_nonneg_solution(cols, g.coords, moduli) is not None]
     return closure
 
 
@@ -736,6 +824,90 @@ def test_maximal_without_lists_the_maximal_closed_sets_avoiding_each_point():
         (0, (1,)), (0, (2,)), (1, (0,)), (1, (2,)), (2, (0,)), (2, (1,))]
 
 
+def _certified(E):
+    """The sets SumClosure lists on E once certify learns no more rules, and
+    the rules it learned."""
+    closure = monoids.SumClosure(E)
+    closed = list(closed_sets(len(E), closure))
+    learned = []
+    while True:
+        rules = closure.certify(closed)
+        if not rules:
+            return closed, learned
+        learned += rules
+        closed = list(closed_sets(len(E), closure))
+
+
+def _truly_closed(E):
+    """Every index set S with E ∩ [S> = S, by a scan of all 2^n sets."""
+    G = E[0].ambient
+    out = set()
+    for mask in range(1 << len(E)):
+        S = tuple(i for i in range(len(E)) if mask >> i & 1)
+        N = Submonoid(G, tuple(E[i] for i in S))
+        if all(i in S or not contains(N, e) for i, e in enumerate(E)):
+            out.add(S)
+    return out
+
+
+def test_the_certified_sum_closure_lists_the_truly_closed_sets():
+    rng = random.Random(36)
+    learning = 0
+    for trial in range(40):
+        G = Z2 if trial % 2 else FgAbelianGroup(1, (3,))
+        E = sorted({G.element([rng.randint(-3, 3), rng.randint(-3, 3)])
+                    for _ in range(rng.randint(1, 7))})
+        closed, learned = _certified(E)
+        assert set(closed) == _truly_closed(E) and len(closed) == len(set(closed)), E
+        learning += bool(learned)
+    # sums of three or more degrees matter on many of these supports
+    assert learning >= 10
+
+
+def test_a_learned_rule_comes_from_its_witness():
+    # {2, 3} is closed under pair sums in E = {2, 3, 7}, and [2, 3> holds 7
+    E = [Z.element([v]) for v in (2, 3, 7)]
+    closure = monoids.SumClosure(E)
+    closed = list(closed_sets(3, closure))
+    assert (0, 1) in closed
+    rules = closure.certify(closed)
+    assert (0b011, 2) in rules
+    assert list(closure((0, 1))) == [0, 1, 2]
+    assert closure.certify(list(closed_sets(3, closure))) == []
+
+
+@pytest.mark.parametrize("forge", ["sum", "negative"])
+def test_a_forged_witness_fails_before_a_rule_is_learned(monkeypatch, forge):
+    E = [Z.element([v]) for v in (2, 3, 7)]
+    closure = monoids.SumClosure(E)
+    closed = list(closed_sets(3, closure))
+    held = [list(P) for P in closure.premises]
+    N = Submonoid(Z, tuple(E[:2]))
+    assert monoids._cached_contains(N, E[2]) == (2, 1)
+    # 2 * 2 + 2 * 3 misses 7; 5 * 2 - 3 reaches it with a negative coefficient
+    forged = {"sum": (2, 2), "negative": (5, -1)}[forge]
+    real = monoids._cached_contains
+
+    def forging(M, m):
+        return forged if (M, m) == (N, E[2]) else real(M, m)
+
+    monkeypatch.setattr(monoids, "_cached_contains", forging)
+    with pytest.raises(StructuralError, match="membership witness"):
+        closure.certify(closed)
+    assert [list(P) for P in closure.premises] == held
+
+
+def test_a_dropped_sum_is_learned_back(monkeypatch):
+    # without the rule 1 + 2 the set {1, 2} lists as closed; its monoid holds 3
+    E = [Z.element([v]) for v in (1, 2, 3)]
+    pair_sums = monoids._pair_sums
+    monkeypatch.setattr(monoids, "_pair_sums",
+                        lambda E: ((i, j, k) for i, j, k in pair_sums(E) if (i, j) != (0, 1)))
+    closed, learned = _certified(E)
+    assert set(closed) == _truly_closed(E)
+    assert [p for _, p in learned] == [2]
+
+
 # --- generation and rank ----------------------------------------------------
 
 
@@ -783,7 +955,7 @@ def _rank_by_counting_row(N):
     moduli = (0,) * N.ambient.free_rank + N.ambient.torsion_orders + (0,)
     cols = [g.coords + (1,) for g in N.generators]
     cols.append((0,) * N.ambient.coord_count + (-1,))
-    return sum(not has_nonneg_solution(cols, g.coords + (2,), moduli)
+    return sum(has_nonneg_solution(cols, g.coords + (2,), moduli) is None
                for g in N.generators)
 
 

@@ -16,7 +16,7 @@ from magnetkit.monoids import (
     same_submonoid,
     units,
 )
-from magnetkit import roots
+from magnetkit import monoids, roots
 from magnetkit.roots import (
     ReductiveDatum,
     RootMagnet,
@@ -182,18 +182,18 @@ def test_closed_subsets_cap():
 
 
 def test_a_dropped_sum_fails_the_trace_check(monkeypatch):
-    # without the rule a1 + a2, the set {a1, a2} is listed as closed, and
-    # its monoid holds the root a1 + a2
+    # without the rule a1 + a2 in the shared closure engine, the set {a1, a2}
+    # is listed as closed, and its monoid holds the root a1 + a2
     d = build("A2")
     rs = d.rootsystem
-    a, b = (rs.roots.index(x) for x in rs.basis)
-    sum_closure = roots._sum_closure
+    a, b = sorted(rs.roots.index(x) for x in rs.basis)
+    pair_sums = monoids._pair_sums
 
-    def dropping(plus, S):
-        return sum_closure(lambda i, j: None if {i, j} == {a, b} else plus(i, j), S)
+    def dropping(E):
+        return ((i, j, k) for i, j, k in pair_sums(E) if (i, j) != (a, b))
 
-    monkeypatch.setattr(roots, "_sum_closure", dropping)
-    with pytest.raises(StructuralError, match="not its own monoid trace"):
+    monkeypatch.setattr(monoids, "_pair_sums", dropping)
+    with pytest.raises(StructuralError, match="closed root subset holds the root"):
         closed_subsets(d)
 
 
